@@ -3,13 +3,14 @@
 
 Usage, from the repository root:
 
-    python3 perfbench/run.py --workload dense_glr_mobile --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload dense_glr_mobile --seed 1 --seconds 25 --trace 0
 
-The Go build cache, the binary and traced-run span files all live under
-the build directory ($CARGO_TARGET_DIR if set, else .bench_build at the
-repository root), so the benchmark reads and writes only inside the
-checkout. Arguments are passed through to the Go program; its exit code
-is returned. A failed build exits non-zero without printing a result.
+The Go build cache, its temporary files, the binary and traced-run span
+files all live under the build directory ($CARGO_TARGET_DIR if set, else
+.bench_build at the repository root), so the benchmark writes only
+inside the checkout. Arguments are passed through to the Go program;
+its exit code is returned. A failed build exits non-zero without
+printing a result.
 """
 
 import os
@@ -25,7 +26,8 @@ def main():
     if not os.path.isabs(build):
         build = os.path.join(ROOT, build)
     build = os.path.join(build, "perfbench")
-    os.makedirs(build, exist_ok=True)
+    tmp = os.path.join(build, "tmp")
+    os.makedirs(tmp, exist_ok=True)
 
     env = dict(os.environ)
     env.update(
@@ -33,6 +35,8 @@ def main():
         GOPATH=os.path.join(build, "gopath"),
         GOMODCACHE=os.path.join(build, "gopath", "pkg", "mod"),
         XDG_CONFIG_HOME=os.path.join(build, "config"),
+        GOTMPDIR=tmp,
+        TMPDIR=tmp,
         GOPROXY="off",
         GOWORK="off",
         GOTOOLCHAIN="local",
