@@ -92,11 +92,17 @@ func tracedWorld(c compiled) (*sim.World, *recorder, error) {
 	return w, rec, nil
 }
 
-// start marks the beginning of the traced loop.
+// start marks the beginning of the traced loop. Totals accrued before it
+// (during world construction) are not loop time, so they only set the
+// baseline.
 func (r *recorder) start() {
-	r.t0 = time.Now()
+	prof := r.w.PhaseProfile()
+	r.lastBeacon, r.lastMob, r.lastAE = prof.Beacon, prof.Mobility, prof.AntiEntropy
+	if r.maint != nil {
+		r.lastQuery = r.maint.Stats().BuildTime
+	}
 	r.lastAt = 0
-	r.snapshot(0)
+	r.t0 = time.Now()
 }
 
 // stop closes the last gap and returns the loop's wall clock.
