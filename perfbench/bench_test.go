@@ -258,3 +258,38 @@ func TestReferencesCoverSeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestIterationReport checks what an iteration process hands the loop,
+// for a Runner.Compare workload and a single-world one: every world's
+// report passes verify and the loop's repeat check, a differing repeat
+// fails it, and the measurements are positive.
+func TestIterationReport(t *testing.T) {
+	for _, name := range []string{"paper_compare", "dense_glr_static"} {
+		w, err := findWorkload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := measureIteration(w, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Reports) != len(w.worlds(0)) || len(r.Worlds) == 0 {
+			t.Fatalf("%s: %d reports and %d world contexts", name, len(r.Reports), len(r.Worlds))
+		}
+		chk := newChecker()
+		for _, wr := range r.Reports {
+			if wr.Err != "" {
+				t.Errorf("%s: %s", wr.Key, wr.Err)
+			}
+			if !chk.record(wr.Key, wr.Fingerprint, nil) || !chk.record(wr.Key, wr.Fingerprint, nil) {
+				t.Errorf("%s: checker refused a repeated identical report", wr.Key)
+			}
+		}
+		if chk.record(r.Reports[0].Key, "differs", nil) {
+			t.Errorf("%s: checker accepted a report that differs from an earlier one", name)
+		}
+		if r.SetupS <= 0 || r.RunS <= 0 || r.TotalS < r.RunS || r.CPUS <= 0 || r.HeapMB <= 0 {
+			t.Errorf("%s: measurements %+v", name, r)
+		}
+	}
+}

@@ -32,7 +32,7 @@ func run() error {
 	seconds := flag.Float64("seconds", 10, "measurement time in seconds")
 	trace := flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer profile")
 	traceDir := flag.String("trace-dir", "", "directory for span files of traced runs (empty: none)")
-	probe := flag.Bool("probe-setup", false, "measure one set-up in this process and exit (internal)")
+	iteration := flag.Int("iteration", -1, "step this iteration in this process, print its measurements and exit (internal)")
 	record := flag.Int64("record", 0, "write reference fingerprints for benchmark seeds 1..n to references.json")
 	flag.Parse()
 
@@ -43,8 +43,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *probe {
-		return probeSetup(w, *seed)
+	if *iteration >= 0 {
+		r, err := measureIteration(w, *seed, *iteration)
+		if err != nil {
+			return err
+		}
+		return json.NewEncoder(os.Stdout).Encode(r)
 	}
 	if *seconds <= 0 {
 		return fmt.Errorf("seconds %v must be positive", *seconds)

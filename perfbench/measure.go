@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -35,9 +36,13 @@ func newChecker() *checker { return &checker{seen: map[string]string{}} }
 
 // check verifies one world's report and reports whether it passed.
 func (c *checker) check(key string, r glr.Result) bool {
-	err := verify(key, r)
+	return c.record(key, fingerprint(r), verify(key, r))
+}
+
+// record takes one world's report as its fingerprint and verify's
+// verdict, and reports whether it passed.
+func (c *checker) record(key, fp string, err error) bool {
 	if err == nil {
-		fp := fingerprint(r)
 		if prev, ok := c.seen[key]; ok && prev != fp {
 			err = fmt.Errorf("%s: report %s differs from this run's earlier %s", key, fp, prev)
 		}
@@ -112,10 +117,7 @@ func (h *heapSampler) observe() {
 	}
 }
 
-// reset starts a new peak window.
-func (h *heapSampler) reset() { h.peak.Store(0) }
-
-// peakMB closes the window and returns its peak in MiB.
+// peakMB returns the peak so far in MiB.
 func (h *heapSampler) peakMB() float64 {
 	h.observe()
 	return float64(h.peak.Load()) / (1 << 20)
@@ -150,153 +152,147 @@ func shardWorkers(w *sim.World) int {
 	return 1
 }
 
-// setupReport is what a set-up probe prints.
-type setupReport struct {
-	SetupS         float64 `json:"setup_s"`
-	Protocol       string  `json:"protocol"`
-	ShardWorkers   int     `json:"shard_workers"`
-	ForkThresholds string  `json:"fork_thresholds"`
+// worldReport is one world's report as an iteration process hands it
+// to the loop: its fingerprint and, if it failed verify, why.
+type worldReport struct {
+	Key         string `json:"key"`
+	Fingerprint string `json:"fingerprint"`
+	Err         string `json:"error,omitempty"`
 }
 
-// probeSetup measures, in this fresh process, the time from scenario
-// construction until the workload's first world is ready to dispatch its
-// first event (including the per-process shard calibration a sharded
-// world pays), and prints it as JSON.
-func probeSetup(w workload, seed int64) error {
-	wd := w.worlds(w.baseSeed(seed, 0))[0]
+// iterationReport is what one iteration process prints.
+type iterationReport struct {
+	SetupS  float64        `json:"setup_s"`
+	RunS    float64        `json:"run_s"`
+	TotalS  float64        `json:"total_s"`
+	CPUS    float64        `json:"cpu_s"`
+	HeapMB  float64        `json:"peak_heap_mb"`
+	Worlds  []worldContext `json:"worlds"`
+	Reports []worldReport  `json:"reports"`
+}
+
+// measureIteration steps iteration iter of a run in this process, which
+// the loop starts fresh for every iteration, as each of a user's runs is
+// a fresh process.
+//
+// Set-up runs from scenario construction until the first world is ready
+// to dispatch its first event, so it includes the per-process shard
+// calibration a sharded world pays. paper_compare's Runner builds its
+// own worlds inside the timed call, so there the first world is built
+// only to time set-up, and run_s is the whole Compare call.
+func measureIteration(w workload, seed int64, iter int) (iterationReport, error) {
+	base := w.baseSeed(seed, iter)
+	worlds := w.worlds(base)
+	heap := startHeapSampler()
+	defer heap.Close()
+
 	start := time.Now()
-	c, err := w.compile(wd)
+	c, err := w.compile(worlds[0])
 	if err != nil {
-		return err
+		return iterationReport{}, err
 	}
 	sw, err := sim.NewWorld(c.scn, c.factory)
 	if err != nil {
-		return err
+		return iterationReport{}, err
 	}
-	d := time.Since(start)
-	return json.NewEncoder(os.Stdout).Encode(setupReport{
-		SetupS:         d.Seconds(),
-		Protocol:       string(wd.proto),
-		ShardWorkers:   shardWorkers(sw),
-		ForkThresholds: thresholdsString(sw.ForkThresholds()),
-	})
-}
-
-// setupTimes runs n set-up probes, one fresh process each, in sequence.
-func setupTimes(w workload, seed int64, n int) ([]setupReport, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	var out []setupReport
-	for i := 0; i < n; i++ {
-		cmd := exec.Command(exe, "-probe-setup", "-workload", w.name, "-seed", fmt.Sprint(seed))
-		cmd.Stderr = os.Stderr
-		b, err := cmd.Output()
-		if err != nil {
-			return nil, fmt.Errorf("set-up probe: %w", err)
-		}
-		var r setupReport
-		if err := json.Unmarshal(bytes.TrimSpace(b), &r); err != nil {
-			return nil, fmt.Errorf("set-up probe output %q: %w", b, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// sample is one untraced iteration's measurements.
-type sample struct {
-	runS, totalS, cpuS, heapMB float64
-}
-
-// untracedIteration steps every world of iteration iter the way a user
-// would and checks each report.
-func untracedIteration(w workload, seed int64, iter int, heap *heapSampler, chk *checker, ctx *benchContext) (sample, bool) {
-	base := w.baseSeed(seed, iter)
-	worlds := w.worlds(base)
-	runtime.GC()
-	heap.reset()
-	ok := true
-	var s sample
-	start := time.Now()
+	setup := time.Since(start)
+	rep := iterationReport{SetupS: setup.Seconds()}
 	if w.compare {
-		cpu0 := cpuTime()
-		res, err := w.runCompare(context.Background(), base)
-		s.cpuS = (cpuTime() - cpu0).Seconds()
-		s.runS = time.Since(start).Seconds()
-		s.totalS = s.runS
-		if !chk.fail(err) {
-			return s, false
-		}
-		for i, wd := range worlds {
-			ok = chk.check(w.key(wd), res[i]) && ok
-		}
 		for _, p := range w.protos {
-			ctx.addWorld(worldContext{Protocol: string(p), ShardWorkers: max(w.parallelism(), 1),
+			rep.Worlds = append(rep.Worlds, worldContext{Protocol: string(p), ShardWorkers: max(w.parallelism(), 1),
 				ForkThresholds: thresholdsString(w.thresholds())})
 		}
 	} else {
-		wd := worlds[0]
-		c, err := w.compile(wd)
-		if !chk.fail(err) {
-			return s, false
-		}
-		sw, err := sim.NewWorld(c.scn, c.factory)
-		if !chk.fail(err) {
-			return s, false
-		}
-		ctx.addWorld(worldContext{Protocol: string(wd.proto), ShardWorkers: shardWorkers(sw),
-			ForkThresholds: thresholdsString(sw.ForkThresholds())})
-		cpu0 := cpuTime()
-		runStart := time.Now()
-		rep := sw.Run()
-		end := time.Now()
-		s.cpuS = (cpuTime() - cpu0).Seconds()
-		s.runS = end.Sub(runStart).Seconds()
-		s.totalS = end.Sub(start).Seconds()
-		ok = chk.check(w.key(wd), result(rep))
+		rep.Worlds = []worldContext{{Protocol: string(worlds[0].proto), ShardWorkers: shardWorkers(sw),
+			ForkThresholds: thresholdsString(sw.ForkThresholds())}}
 	}
-	s.heapMB = heap.peakMB()
-	return s, ok
+
+	var res []glr.Result
+	cpu0 := cpuTime()
+	runStart := time.Now()
+	if w.compare {
+		res, err = w.runCompare(context.Background(), base)
+		if err != nil {
+			return iterationReport{}, err
+		}
+	} else {
+		res = []glr.Result{result(sw.Run())}
+	}
+	run := time.Since(runStart)
+	rep.CPUS = (cpuTime() - cpu0).Seconds()
+	rep.RunS = run.Seconds()
+	rep.TotalS = (setup + run).Seconds()
+	if w.compare {
+		rep.TotalS = rep.RunS
+	}
+	rep.HeapMB = heap.peakMB()
+	if len(res) != len(worlds) {
+		return iterationReport{}, fmt.Errorf("%d reports for %d worlds", len(res), len(worlds))
+	}
+	for i, wd := range worlds {
+		wr := worldReport{Key: w.key(wd), Fingerprint: fingerprint(res[i])}
+		if err := verify(wr.Key, res[i]); err != nil {
+			wr.Err = err.Error()
+		}
+		rep.Reports = append(rep.Reports, wr)
+	}
+	return rep, nil
 }
 
-// setupProbes is the number of fresh processes whose median set-up time
-// a run reports.
-const setupProbes = 11
+// iteration runs iteration iter in a fresh process and returns its
+// measurements.
+func iteration(exe string, w workload, seed int64, iter int) (iterationReport, error) {
+	cmd := exec.Command(exe, "-iteration", fmt.Sprint(iter), "-workload", w.name, "-seed", fmt.Sprint(seed))
+	cmd.Stderr = os.Stderr
+	b, err := cmd.Output()
+	if err != nil {
+		return iterationReport{}, fmt.Errorf("iteration %d: %w", iter, err)
+	}
+	var r iterationReport
+	if err := json.Unmarshal(bytes.TrimSpace(b), &r); err != nil {
+		return iterationReport{}, fmt.Errorf("iteration %d output %q: %w", iter, b, err)
+	}
+	return r, nil
+}
 
-// endToEnd measures the end-to-end metrics with tracing off.
+// endToEnd measures the end-to-end metrics with tracing off. Each
+// iteration runs in its own process, one at a time, so set-up is
+// measured once per iteration and a per-process shard calibration
+// shapes one iteration, not the whole run.
 func endToEnd(w workload, seed int64, seconds float64, ctx *benchContext) (output, error) {
-	setups, err := setupTimes(w, seed, setupProbes)
+	exe, err := os.Executable()
 	if err != nil {
 		return output{}, err
 	}
-	var setupS []float64
-	for _, r := range setups {
-		setupS = append(setupS, r.SetupS)
-	}
-	fmt.Printf("setup probes: %v (first world %s, %d shard workers, thresholds %s)\n",
-		setupS, setups[0].Protocol, setups[0].ShardWorkers, setups[0].ForkThresholds)
-
-	heap := startHeapSampler()
-	defer heap.Close()
 	chk := newChecker()
-	var runS, rate, cpuS, heapMB []float64
+	var setupS, runS, rate, cpuS, heapMB []float64
 	attempted, failed := 0, 0
 	deadline := time.Now().Add(time.Duration(seconds * float64(time.Second)))
 	for iter := 0; iter == 0 || time.Now().Before(deadline); iter++ {
-		s, ok := untracedIteration(w, seed, iter, heap, chk, ctx)
 		attempted++
+		r, err := iteration(exe, w, seed, iter)
+		ok := chk.fail(err)
+		for _, wr := range r.Reports {
+			var verr error
+			if wr.Err != "" {
+				verr = errors.New(wr.Err)
+			}
+			ok = chk.record(wr.Key, wr.Fingerprint, verr) && ok
+		}
 		if !ok {
 			failed++
 			continue
 		}
-		runS = append(runS, s.runS)
-		rate = append(rate, w.nodeSeconds()/s.totalS)
-		cpuS = append(cpuS, s.cpuS)
-		heapMB = append(heapMB, s.heapMB)
-		fmt.Printf("iteration %d: base seed %d run_s=%.4f total_s=%.4f cpu_s=%.4f peak_heap_mb=%.1f\n",
-			iter, w.baseSeed(seed, iter), s.runS, s.totalS, s.cpuS, s.heapMB)
+		for _, wc := range r.Worlds {
+			ctx.addWorld(wc)
+		}
+		setupS = append(setupS, r.SetupS)
+		runS = append(runS, r.RunS)
+		rate = append(rate, w.nodeSeconds()/r.TotalS)
+		cpuS = append(cpuS, r.CPUS)
+		heapMB = append(heapMB, r.HeapMB)
+		fmt.Printf("iteration %d: base seed %d setup_s=%.4f run_s=%.4f total_s=%.4f cpu_s=%.4f peak_heap_mb=%.1f\n",
+			iter, w.baseSeed(seed, iter), r.SetupS, r.RunS, r.TotalS, r.CPUS, r.HeapMB)
 	}
 	ctx.Iterations = attempted
 	if len(runS) == 0 {
