@@ -40,14 +40,13 @@ bench:
 ## regression vs ci/bench_baseline.json. Emits BENCH_spanner.json. The
 ## Runner and WorldStep macro-benchmarks gate on memory only
 ## (-skip-ns): their wall-clock depends on the host's core count, which
-## the single-threaded calibration probe cannot normalize. The sharded
-## world-step additionally skips the memory gate (-skip-mem): its
-## worker-pool buffers scale with GOMAXPROCS, so B/op is
-## host-dependent too.
+## the single-threaded calibration probe cannot normalize. Their memory
+## is gated for every one of them, the sharded world-step included: its
+## B/op and allocs/op match the serial run's at GOMAXPROCS 2 and 8.
 bench-gate:
 	$(GO) test -bench '$(BENCH_GATE_PATTERN)' $(BENCH_GATE_FLAGS) $(BENCH_GATE_PKGS) | tee bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -baseline ci/bench_baseline.json \
-		-out BENCH_spanner.json -tolerance 0.15 -skip-ns '^(Runner|WorldStep)' -skip-mem '^WorldStepSharded'
+		-out BENCH_spanner.json -tolerance 0.15 -skip-ns '^(Runner|WorldStep)'
 
 ## bench-baseline refreshes the committed baseline (run on an idle
 ## machine; commit the result together with the change that moved it).

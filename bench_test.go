@@ -275,9 +275,7 @@ func BenchmarkWorldStepSharded(b *testing.B) {
 // benchmarkWorldStepPlane runs the 1000-node world on a pinned 4-worker
 // pool with exactly one plane's fork threshold open (1) and every other
 // pinned shut (math.MaxInt), so each benchmark isolates one parallel
-// plane's cost. The epidemic protocol replaces GLR: its exchange work
-// is deterministic under sharding (GLR's speculative spanner builds
-// vary with worker timing, making B/op host-dependent) and it drives
+// plane's cost. The epidemic protocol replaces GLR because it drives
 // the anti-entropy plane GLR never touches. Pinned thresholds keep the
 // fork decisions — and so the allocation profile the benchgate baseline
 // gates — independent of the host's calibration.

@@ -145,14 +145,15 @@
 // engine: the region is partitioned into grid-cell stripes with halo
 // overlap of one radio range plus the index slack, a per-world worker
 // pool (internal/shard) evaluates the read-only parts of broadcast
-// reception resolution and of the GLR spanner precompute concurrently
-// by stripe, and every mutation commits on the single event-loop
-// goroutine in the exact order serial execution would have produced —
-// so sharded results are byte-identical to serial, not merely
-// statistically equivalent. WithParallelism sets the pool width (0 =
-// automatic, GOMAXPROCS; the Runner divides the machine between its
-// replication workers and each run's pool), and the engine escape
-// hatches — sharding included — are consolidated behind WithEngine:
+// reception resolution, beacon construction, mobility reindexing and
+// epidemic anti-entropy diffs concurrently, and every mutation commits
+// on the single event-loop goroutine in the exact order serial
+// execution would have produced — so sharded results are byte-identical
+// to serial, not merely statistically equivalent. WithParallelism sets
+// the pool width (0 = automatic, GOMAXPROCS; the Runner divides the
+// machine between its replication workers and each run's pool), and the
+// engine escape hatches — sharding included — are consolidated behind
+// WithEngine:
 //
 //	sc, err := glr.NewScenario(
 //		glr.WithParallelism(4),                          // 4 shard workers
@@ -399,25 +400,26 @@ func Compare(cfg Config) (glrRes, epidemicRes Result, err error) {
 }
 
 // Validate reports a descriptive error for unusable configurations.
-// Negative knobs are rejected rather than silently treated as unset.
+// Negative and non-finite knobs are rejected rather than silently
+// treated as unset.
 func (cfg Config) Validate() error {
 	switch {
 	case cfg.Nodes < 0:
 		return fmt.Errorf("glr: node count %d must be nonnegative", cfg.Nodes)
-	case cfg.Range < 0:
-		return fmt.Errorf("glr: range %v must be nonnegative", cfg.Range)
-	case cfg.Width < 0 || cfg.Height < 0:
+	case !finite(cfg.Range) || cfg.Range < 0:
+		return fmt.Errorf("glr: range %v must be nonnegative and finite", cfg.Range)
+	case !finite(cfg.Width) || !finite(cfg.Height) || cfg.Width < 0 || cfg.Height < 0:
 		// One dimension set without the other keeps the default region,
 		// as the legacy path always did; only negatives are rejected.
-		return fmt.Errorf("glr: region %vx%v must be nonnegative", cfg.Width, cfg.Height)
+		return fmt.Errorf("glr: region %vx%v must be nonnegative and finite", cfg.Width, cfg.Height)
 	case cfg.Messages < 0:
 		return fmt.Errorf("glr: message count %d must be nonnegative", cfg.Messages)
-	case cfg.SimTime < 0:
-		return fmt.Errorf("glr: sim time %v must be nonnegative", cfg.SimTime)
+	case !finite(cfg.SimTime) || cfg.SimTime < 0:
+		return fmt.Errorf("glr: sim time %v must be nonnegative and finite", cfg.SimTime)
 	case cfg.StorageLimit < 0:
 		return fmt.Errorf("glr: storage limit %d must be nonnegative", cfg.StorageLimit)
-	case cfg.MaxSpeed < 0:
-		return fmt.Errorf("glr: max speed %v must be nonnegative", cfg.MaxSpeed)
+	case !finite(cfg.MaxSpeed) || cfg.MaxSpeed < 0:
+		return fmt.Errorf("glr: max speed %v must be nonnegative and finite", cfg.MaxSpeed)
 	}
 	if err := cfg.GLRConfig.validate(); err != nil {
 		return err
@@ -432,8 +434,8 @@ func (o *GLRConfig) validate() error {
 		return nil
 	}
 	switch {
-	case o.CheckInterval < 0:
-		return fmt.Errorf("glr: check interval %v must be nonnegative", o.CheckInterval)
+	case !finite(o.CheckInterval) || o.CheckInterval < 0:
+		return fmt.Errorf("glr: check interval %v must be nonnegative and finite", o.CheckInterval)
 	case o.Copies < 0:
 		return fmt.Errorf("glr: copy count %d must be nonnegative", o.Copies)
 	case o.K < 0:
@@ -454,10 +456,10 @@ func (o *EpidemicConfig) validate() error {
 		return nil
 	}
 	switch {
-	case o.ExchangeInterval < 0:
-		return fmt.Errorf("glr: exchange interval %v must be nonnegative", o.ExchangeInterval)
-	case o.DataSendRate < 0:
-		return fmt.Errorf("glr: data send rate %v must be nonnegative", o.DataSendRate)
+	case !finite(o.ExchangeInterval) || o.ExchangeInterval < 0:
+		return fmt.Errorf("glr: exchange interval %v must be nonnegative and finite", o.ExchangeInterval)
+	case !finite(o.DataSendRate) || o.DataSendRate < 0:
+		return fmt.Errorf("glr: data send rate %v must be nonnegative and finite", o.DataSendRate)
 	}
 	return nil
 }

@@ -6,24 +6,31 @@ import (
 	"testing"
 
 	"glr/internal/metrics"
+	"glr/internal/shard"
 	"glr/internal/sim"
 )
 
 // TestShardedRunEquivalence: across randomized mobile scenarios, a run on
-// the sharded engine — parallel reception verdicts plus speculative
-// spanner builds — must produce *identical* end-to-end results to the
-// serial engine at every worker count. Parallelism is forced (2/4/8)
-// rather than automatic so the property holds on single-CPU CI hosts
-// too. Any divergence means a worker observed or influenced simulation
-// state outside the byte-identity discipline.
+// the sharded engine must produce *identical* end-to-end results to the
+// serial engine at every worker count, both with calibrated fork
+// thresholds and with every threshold pinned to 0 so every plane forks.
+// Parallelism is forced (2/4/8) rather than automatic so the property
+// holds on single-CPU CI hosts too. Any divergence means a worker
+// observed or influenced simulation state outside the byte-identity
+// discipline. The spanner counters must match serial too: sharding does
+// no extra spanner work.
 func TestShardedRunEquivalence(t *testing.T) {
 	const trials = 12
 	delivered := 0
-	specBuilds := uint64(0)
+	forceFork := &shard.Thresholds{}
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			run := func(parallelism int, disable bool) metrics.Report {
+			type outcome struct {
+				rep                                     metrics.Report
+				queries, triBuilds, triHits, resultHits uint64
+			}
+			run := func(parallelism int, disable bool, thr *shard.Thresholds) outcome {
 				factory, maint, err := NewInstrumented(equivConfig(trial, false))
 				if err != nil {
 					t.Fatal(err)
@@ -31,30 +38,34 @@ func TestShardedRunEquivalence(t *testing.T) {
 				s := equivScenario(trial)
 				s.Parallelism = parallelism
 				s.DisableSharding = disable
+				s.ForkThresholds = thr
 				w, err := sim.NewWorld(s, factory)
 				if err != nil {
 					t.Fatal(err)
 				}
+				if thr != nil && w.ForkThresholds() != *thr {
+					t.Fatalf("parallelism=%d: thresholds %+v, want the pinned %+v; the sharded engine never engaged",
+						parallelism, w.ForkThresholds(), *thr)
+				}
 				rep := w.Run()
-				specBuilds += maint.Stats().SpecBuilds
-				return rep
+				st := maint.Stats()
+				return outcome{rep, st.Queries, st.TriBuilds, st.TriHits, st.ResultHits}
 			}
-			serial := run(0, true)
-			delivered += serial.Delivered
+			serial := run(0, true, nil)
+			delivered += serial.rep.Delivered
 			for _, workers := range []int{2, 4, 8} {
-				sharded := run(workers, false)
-				if !reflect.DeepEqual(serial, sharded) {
-					t.Fatalf("parallelism=%d diverged from serial:\n  serial:  %+v\n  sharded: %+v",
-						workers, serial, sharded)
+				for _, thr := range []*shard.Thresholds{nil, forceFork} {
+					sharded := run(workers, false, thr)
+					if !reflect.DeepEqual(serial, sharded) {
+						t.Fatalf("parallelism=%d forceFork=%t diverged from serial:\n  serial:  %+v\n  sharded: %+v",
+							workers, thr != nil, serial, sharded)
+					}
 				}
 			}
 		})
 	}
 	if delivered == 0 {
 		t.Fatal("equivalence suite delivered nothing; scenarios too hostile to be meaningful")
-	}
-	if specBuilds == 0 {
-		t.Fatal("no sharded run launched a speculative spanner build; the engine never engaged")
 	}
 }
 

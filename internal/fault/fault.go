@@ -85,9 +85,15 @@ type Spec struct {
 const defaultLinkPeriod = 10.0
 
 // Validate checks the spec against the deployment region and horizon,
-// rejecting negative rates and durations, probabilities outside [0,1],
-// blackout rectangles outside the region, and inverted windows.
+// rejecting non-finite parameters, negative rates and durations,
+// probabilities outside [0,1], blackout rectangles outside the region,
+// and inverted windows.
 func (s Spec) Validate(region mobility.Region, simTime float64) error {
+	for _, v := range [...]float64{s.Rate, s.Period, s.Duration, s.Start, s.End, s.X, s.Y, s.W, s.H, s.Sigma, s.Fraction} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fault: %s parameter %v must be finite", s.Kind, v)
+		}
+	}
 	switch s.Kind {
 	case LinkBlackout:
 		if s.Rate < 0 || s.Rate > 1 {

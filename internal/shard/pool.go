@@ -1,8 +1,8 @@
 // Package shard provides the worker pool behind within-run parallelism:
 // a fixed set of workers that the simulation's single event-loop
-// goroutine forks work onto for bounded parallel sections (sharded
-// reception verdicts) and fire-and-forget speculative builds (spanner
-// precomputation), then joins before committing any state.
+// goroutine forks bounded parallel sections onto (reception verdicts,
+// beacon construction, mobility reindexing, anti-entropy diffs), then
+// joins before committing any state.
 //
 // The pool never owns simulation state and never decides commit order —
 // parallel sections compute pure read-only verdicts into caller-indexed
@@ -16,12 +16,11 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a fixed-size worker pool for fork-join sections and
-// asynchronous speculative tasks. A Pool with one worker degenerates to
-// inline serial execution and starts no goroutines.
+// Pool is a fixed-size fork-join worker pool. A Pool with one worker
+// degenerates to inline serial execution and starts no goroutines.
 //
-// Run and Submit may only be called from one goroutine at a time (the
-// simulation event loop); the workers themselves may call neither.
+// Run may only be called from one goroutine at a time (the simulation
+// event loop); the workers themselves may not call it.
 type Pool struct {
 	workers int
 	tasks   chan func()
@@ -37,9 +36,8 @@ func NewPool(workers int) *Pool {
 	}
 	p := &Pool{workers: workers}
 	if workers > 1 {
-		// Buffer enough for a full fork plus a backlog of speculative
-		// submissions without blocking the event loop.
-		p.tasks = make(chan func(), 8*workers)
+		// One slot per helper: a fork never blocks handing out work.
+		p.tasks = make(chan func(), workers-1)
 		for i := 0; i < workers-1; i++ {
 			go p.worker()
 		}
@@ -101,25 +99,8 @@ func (p *Pool) Run(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Submit hands fn to a worker without waiting for it. It reports whether
-// the task was accepted: false means the pool is serial, closed, or its
-// queue is full — callers treat speculative work as best-effort and fall
-// back to doing nothing.
-func (p *Pool) Submit(fn func()) bool {
-	if p.workers == 1 || p.closed.Load() {
-		return false
-	}
-	select {
-	case p.tasks <- fn:
-		return true
-	default:
-		return false
-	}
-}
-
-// Close drains the workers and releases them. After Close, Run executes
-// inline and Submit reports false; Close is idempotent. Pending
-// submitted tasks still run before the workers exit.
+// Close releases the workers. After Close, Run executes inline; Close
+// is idempotent.
 func (p *Pool) Close() {
 	if p.closed.CompareAndSwap(false, true) && p.tasks != nil {
 		close(p.tasks)

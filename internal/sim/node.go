@@ -126,9 +126,9 @@ func (n *Node) Locations() *dtn.LocationTable { return n.locations }
 
 // ShardPool exposes the world's shard worker pool, nil when the run is
 // serial (Scenario.DisableSharding, Parallelism 1, or a single-CPU
-// automatic resolution). Protocols may use it for speculative read-only
-// work; everything that mutates simulation state stays on the event
-// goroutine.
+// automatic resolution). Protocols may fork read-only batch work onto it
+// (Pool.Run); everything that mutates simulation state stays on the
+// event goroutine.
 func (n *Node) ShardPool() *shard.Pool { return n.world.pool }
 
 // ForkThresholds returns the run's per-plane fork thresholds
@@ -147,16 +147,6 @@ func (n *Node) AddAntiEntropyTime(d time.Duration) {
 	if n.world.prof != nil {
 		n.world.prof.AntiEntropy += d
 	}
-}
-
-// AppendTwoHopAt appends the node's two-hop neighborhood as it will look
-// at the (future or present) instant `at` — the rows that will not have
-// expired by then plus this node's own predicted position — without
-// mutating the table. It feeds speculative spanner builds: the preview
-// is byte-identical to what Neighbors().AppendTwoHop would return at
-// `at` provided no beacon arrives in between.
-func (n *Node) AppendTwoHopAt(ids []int, pts []geom.Point, at float64) ([]int, []geom.Point) {
-	return n.neighbors.AppendTwoHopAt(ids, pts, n.id, n.mob.Position(at), at-n.world.cfg.NeighborExpiry)
 }
 
 // OraclePosition returns the true current position of any node. It backs

@@ -97,8 +97,8 @@ type Scenario struct {
 	DisableDenseTables bool
 
 	// Parallelism bounds the world's shard worker pool — the within-run
-	// parallel engine behind sharded reception verdicts and speculative
-	// spanner builds. 0 means automatic (GOMAXPROCS); 1 forces serial
+	// fork-join engine behind sharded reception verdicts, beacon
+	// construction, mobility reindexing and anti-entropy diffs. 0 means automatic (GOMAXPROCS); 1 forces serial
 	// stepping. Results are byte-identical at every setting; only the
 	// wall clock changes.
 	Parallelism int
@@ -215,7 +215,7 @@ func (s Scenario) Validate() error {
 		if ti.Src < 0 || ti.Src >= s.N || ti.Dst < 0 || ti.Dst >= s.N || ti.Src == ti.Dst {
 			return fmt.Errorf("sim: traffic[%d] endpoints (%d→%d) invalid", i, ti.Src, ti.Dst)
 		}
-		if ti.At < 0 || ti.At > s.SimTime {
+		if !(ti.At >= 0 && ti.At <= s.SimTime) { // also rejects NaN
 			return fmt.Errorf("sim: traffic[%d] time %v outside run", i, ti.At)
 		}
 	}

@@ -155,9 +155,8 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	if workers := cfg.shardWorkers(); workers > 1 {
 		// The sharded engine: a worker pool shared by the medium
 		// (parallel reception analysis and bulk reindexing), the beacon
-		// plane (parallel hello construction), the protocols' anti-
-		// entropy diffs, and the speculative spanner builds (via
-		// Node.ShardPool). Results stay byte-identical to the serial
+		// plane (parallel hello construction) and the protocols' anti-
+		// entropy diffs (via Node.ShardPool). Results stay byte-identical to the serial
 		// engine — see internal/shard's package doc for the discipline
 		// that guarantees it. Each plane forks only above its threshold:
 		// calibrated from the measured fork cost, or pinned by the

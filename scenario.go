@@ -3,6 +3,7 @@ package glr
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 
 	"glr/internal/geom"
@@ -46,8 +47,9 @@ type Scenario struct {
 // index, shared spanner cache, dense tables.
 type Engine struct {
 	// DisableSharding pins runs to the fully serial engine regardless of
-	// WithParallelism: no worker pool, no parallel reception verdicts, no
-	// speculative spanner builds.
+	// WithParallelism: no worker pool and no fork-join stepping planes
+	// (reception verdicts, beacon construction, mobility reindexing,
+	// anti-entropy diffs).
 	DisableSharding bool
 	// DisableSpatialIndex resolves receptions and carrier sensing with
 	// naive O(n) scans instead of the uniform-grid index.
@@ -174,11 +176,14 @@ func WithNodes(n int) Option {
 	}
 }
 
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // WithRange sets the transmission range in metres (default 100).
 func WithRange(metres float64) Option {
 	return func(s *Scenario) error {
-		if metres <= 0 {
-			return fmt.Errorf("glr: range %v must be positive", metres)
+		if !finite(metres) || metres <= 0 {
+			return fmt.Errorf("glr: range %v must be positive and finite", metres)
 		}
 		s.rangeM = metres
 		return nil
@@ -189,8 +194,8 @@ func WithRange(metres float64) Option {
 // paper's 1500×300 strip).
 func WithRegion(width, height float64) Option {
 	return func(s *Scenario) error {
-		if width <= 0 || height <= 0 {
-			return fmt.Errorf("glr: region %vx%v must be positive", width, height)
+		if !finite(width) || !finite(height) || width <= 0 || height <= 0 {
+			return fmt.Errorf("glr: region %vx%v must be positive and finite", width, height)
 		}
 		s.width, s.height = width, height
 		return nil
@@ -202,8 +207,8 @@ func WithRegion(width, height float64) Option {
 // slack.
 func WithSimTime(seconds float64) Option {
 	return func(s *Scenario) error {
-		if seconds <= 0 {
-			return fmt.Errorf("glr: sim time %v must be positive", seconds)
+		if !finite(seconds) || seconds <= 0 {
+			return fmt.Errorf("glr: sim time %v must be positive and finite", seconds)
 		}
 		s.simTime = seconds
 		return nil
@@ -287,8 +292,8 @@ func WithObserver(o *Observer) Option {
 		if o == nil {
 			return fmt.Errorf("glr: nil Observer")
 		}
-		if o.SampleEvery < 0 {
-			return fmt.Errorf("glr: Observer.SampleEvery %v must be nonnegative", o.SampleEvery)
+		if !finite(o.SampleEvery) || o.SampleEvery < 0 {
+			return fmt.Errorf("glr: Observer.SampleEvery %v must be nonnegative and finite", o.SampleEvery)
 		}
 		if o.SampleEvery > 0 && o.OnSample == nil {
 			return fmt.Errorf("glr: Observer.SampleEvery set without OnSample")
@@ -487,8 +492,8 @@ func (m RandomWalk) apply(s *sim.Scenario) error {
 	if err := checkSpeeds(m.MinSpeed, m.MaxSpeed, 0); err != nil {
 		return err
 	}
-	if m.LegTime < 0 {
-		return fmt.Errorf("glr: random-walk leg time %v must be nonnegative", m.LegTime)
+	if !finite(m.LegTime) || m.LegTime < 0 {
+		return fmt.Errorf("glr: random-walk leg time %v must be nonnegative and finite", m.LegTime)
 	}
 	s.Mobility = sim.MobilityRandomWalk
 	s.MinSpeed = m.MinSpeed
@@ -551,8 +556,8 @@ func tracePaths(m Mobility) ([][]TracePoint, bool) {
 }
 
 func checkSpeeds(minSpeed, maxSpeed, pause float64) error {
-	if minSpeed < 0 || maxSpeed < 0 {
-		return fmt.Errorf("glr: speeds [%v,%v] must be nonnegative", minSpeed, maxSpeed)
+	if !finite(minSpeed) || !finite(maxSpeed) || minSpeed < 0 || maxSpeed < 0 {
+		return fmt.Errorf("glr: speeds [%v,%v] must be nonnegative and finite", minSpeed, maxSpeed)
 	}
 	eff := maxSpeed
 	if eff == 0 {
@@ -561,8 +566,8 @@ func checkSpeeds(minSpeed, maxSpeed, pause float64) error {
 	if minSpeed > eff {
 		return fmt.Errorf("glr: min speed %v exceeds max %v", minSpeed, eff)
 	}
-	if pause < 0 {
-		return fmt.Errorf("glr: pause %v must be nonnegative", pause)
+	if !finite(pause) || pause < 0 {
+		return fmt.Errorf("glr: pause %v must be nonnegative and finite", pause)
 	}
 	return nil
 }
@@ -704,8 +709,8 @@ func countRate(messages int, rate float64) (int, float64, error) {
 	if messages < 0 {
 		return 0, 0, fmt.Errorf("glr: message count %d must be nonnegative", messages)
 	}
-	if rate < 0 {
-		return 0, 0, fmt.Errorf("glr: rate %v must be nonnegative", rate)
+	if !finite(rate) || rate < 0 {
+		return 0, 0, fmt.Errorf("glr: rate %v must be nonnegative and finite", rate)
 	}
 	if messages == 0 {
 		messages = 200

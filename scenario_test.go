@@ -1,6 +1,7 @@
 package glr
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -263,6 +264,57 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestOptionRejectsNonFinite: NaN and ±Inf on any float knob fail at
+// NewScenario with an error naming the bad value, instead of running to
+// a numeric "result" or failing later inside the simulator.
+func TestOptionRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		opts []Option
+	}{
+		{"sim time NaN", []Option{WithSimTime(nan)}},
+		{"sim time +Inf", []Option{WithSimTime(inf)}},
+		{"sim time -Inf", []Option{WithSimTime(-inf)}},
+		{"region width NaN", []Option{WithRegion(nan, 300)}},
+		{"region height NaN", []Option{WithRegion(1500, nan)}},
+		{"region width +Inf", []Option{WithRegion(inf, 300)}},
+		{"region height +Inf", []Option{WithRegion(1500, inf)}},
+		{"region width -Inf", []Option{WithRegion(-inf, 300)}},
+		{"range NaN", []Option{WithRange(nan)}},
+		{"range +Inf", []Option{WithRange(inf)}},
+		{"range -Inf", []Option{WithRange(-inf)}},
+		{"waypoint max speed NaN", []Option{WithMobility(Waypoint{MaxSpeed: nan})}},
+		{"waypoint min speed NaN", []Option{WithMobility(Waypoint{MinSpeed: nan})}},
+		{"waypoint pause +Inf", []Option{WithMobility(Waypoint{Pause: inf})}},
+		{"walk leg time NaN", []Option{WithMobility(RandomWalk{LegTime: nan})}},
+		{"walk max speed +Inf", []Option{WithMobility(RandomWalk{MaxSpeed: inf})}},
+		{"uniform rate NaN", []Option{WithWorkload(UniformWorkload{Messages: 5, Rate: nan})}},
+		{"uniform rate +Inf", []Option{WithWorkload(UniformWorkload{Messages: 5, Rate: inf})}},
+		{"glr check interval NaN", []Option{WithGLR(GLRConfig{CheckInterval: nan})}},
+		{"glr check interval +Inf", []Option{WithGLR(GLRConfig{CheckInterval: inf})}},
+		{"epidemic exchange interval NaN", []Option{WithProtocol(Epidemic), WithEpidemic(EpidemicConfig{ExchangeInterval: nan})}},
+		{"epidemic send rate +Inf", []Option{WithProtocol(Epidemic), WithEpidemic(EpidemicConfig{DataSendRate: inf})}},
+		{"observer sample period NaN", []Option{WithObserver(&Observer{SampleEvery: nan, OnSample: func(Sample) {}})}},
+		{"churn rate NaN", []Option{WithFaults(Fault{Kind: FaultChurn, Rate: nan, Duration: 5})}},
+		{"link blackout period +Inf", []Option{WithFaults(Fault{Kind: FaultLinkBlackout, Rate: 0.1, Period: inf})}},
+		{"region blackout end +Inf", []Option{WithFaults(Fault{Kind: FaultRegionBlackout, W: 10, H: 10, End: inf})}},
+		{"gps sigma NaN", []Option{WithFaults(Fault{Kind: FaultGPSNoise, Sigma: nan})}},
+		{"byzantine fraction NaN", []Option{WithFaults(Fault{Kind: FaultByzantine, Fraction: nan})}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := NewScenario(c.opts...)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if msg := err.Error(); !strings.Contains(msg, "finite") {
+				t.Fatalf("error %q does not say the value must be finite", msg)
+			}
+		})
+	}
+}
+
 // TestConfigValidation pins the satellite fix: invalid legacy Config
 // values error out instead of silently passing through as "unset".
 func TestConfigValidation(t *testing.T) {
@@ -281,6 +333,10 @@ func TestConfigValidation(t *testing.T) {
 	check("negative simtime", func(c *Config) { c.SimTime = -1 })
 	check("negative storage", func(c *Config) { c.StorageLimit = -1 })
 	check("negative speed", func(c *Config) { c.MaxSpeed = -1 })
+	check("NaN range", func(c *Config) { c.Range = math.NaN() })
+	check("NaN width", func(c *Config) { c.Width = math.NaN(); c.Height = 300 })
+	check("NaN simtime", func(c *Config) { c.SimTime = math.NaN() })
+	check("NaN speed", func(c *Config) { c.MaxSpeed = math.NaN() })
 	check("negative width", func(c *Config) { c.Width = -500; c.Height = 300 })
 	check("negative copies", func(c *Config) { c.GLRConfig = &GLRConfig{Copies: -1} })
 	check("negative K", func(c *Config) { c.GLRConfig = &GLRConfig{K: -2} })
