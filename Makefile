@@ -8,9 +8,8 @@ SHELL := /bin/bash
 
 # Benchmarks under the CI regression gate (spanner construction + MAC
 # medium + dense node-state plane + beacon tick + the event-core
-# scheduler pair + the parallel Runner sweep + the serial/sharded
-# world-step pair + the per-plane WorldStep{Beacon,Mobility,AntiEntropy}
-# benchmarks on a pinned 4-worker pool + the calibration probe benchgate
+# scheduler pair + the parallel Runner sweep + the WorldStep{Serial,
+# Faults} macro-benchmarks + the calibration probe benchgate
 # normalizes by). The gate covers ns/op (calibration-normalized) and,
 # from -benchmem, B/op and allocs/op (raw).
 BENCH_GATE_PATTERN := BenchmarkSpanner|BenchmarkDelaunay|BenchmarkMedium|BenchmarkNeighborTable|BenchmarkBeaconTick|BenchmarkScheduler|BenchmarkRunner|BenchmarkWorldStep|BenchmarkCalibration
@@ -41,8 +40,7 @@ bench:
 ## Runner and WorldStep macro-benchmarks gate on memory only
 ## (-skip-ns): their wall-clock depends on the host's core count, which
 ## the single-threaded calibration probe cannot normalize. Their memory
-## is gated for every one of them, the sharded world-step included: its
-## B/op and allocs/op match the serial run's at GOMAXPROCS 2 and 8.
+## is gated for every one of them.
 bench-gate:
 	$(GO) test -bench '$(BENCH_GATE_PATTERN)' $(BENCH_GATE_FLAGS) $(BENCH_GATE_PKGS) | tee bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -baseline ci/bench_baseline.json \

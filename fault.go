@@ -165,13 +165,30 @@ func EncodeFaults(faults []Fault) string {
 // ParseFaults parses the slug format EncodeFaults renders back into a
 // fault set. "" parses to nil (fault-free). Unknown kinds and field
 // keys are errors; range validation happens later, at scenario
-// construction.
+// construction. Models split at "+" outside parentheses only, since
+// encoded values such as "1e+06" and "+Inf" contain a "+" themselves.
 func ParseFaults(s string) ([]Fault, error) {
 	if s == "" {
 		return nil, nil
 	}
+	var parts []string
+	depth, from := 0, 0
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '+':
+			if depth == 0 {
+				parts = append(parts, s[from:i])
+				from = i + 1
+			}
+		}
+	}
+	parts = append(parts, s[from:])
 	var out []Fault
-	for _, part := range strings.Split(s, "+") {
+	for _, part := range parts {
 		kind := part
 		args := ""
 		if i := strings.IndexByte(part, '('); i >= 0 {

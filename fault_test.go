@@ -23,8 +23,8 @@ func faultTestSet() []Fault {
 }
 
 // runFaulted runs a small faulted scenario under the given engine and
-// parallelism and returns its result.
-func runFaulted(t *testing.T, seed int64, engine Engine, parallelism int, faults []Fault) Result {
+// returns its result.
+func runFaulted(t *testing.T, seed int64, engine Engine, faults []Fault) Result {
 	t.Helper()
 	opts := []Option{
 		WithNodes(30),
@@ -32,7 +32,6 @@ func runFaulted(t *testing.T, seed int64, engine Engine, parallelism int, faults
 		WithSimTime(150),
 		WithSeed(seed),
 		WithEngine(engine),
-		WithParallelism(parallelism),
 	}
 	if len(faults) > 0 {
 		opts = append(opts, WithFaults(faults...))
@@ -49,137 +48,46 @@ func runFaulted(t *testing.T, seed int64, engine Engine, parallelism int, faults
 }
 
 // TestFaultedRunEquivalence: a faulted run must produce identical
-// results on every engine escape hatch and at every shard count — the
-// fault schedule is a pure function of (fault set, seed), never of the
-// execution strategy. Short mode crosses each single hatch and the
-// shard counts; full mode crosses all 64 hatch combinations.
+// results on every engine escape hatch — the fault schedule is a pure
+// function of (fault set, seed), never of the execution strategy. Short
+// mode crosses each single hatch; full mode crosses all 32 hatch
+// combinations.
 func TestFaultedRunEquivalence(t *testing.T) {
 	faults := faultTestSet()
-	base := runFaulted(t, 7, Engine{}, 0, faults)
+	base := runFaulted(t, 7, Engine{}, faults)
 	if base.Delivered == 0 {
 		t.Fatal("faulted baseline delivered nothing; scenario too hostile to be meaningful")
 	}
 
 	single := []Engine{
-		{DisableSharding: true},
 		{DisableSpatialIndex: true},
 		{DisableSpannerCache: true},
 		{DisableDenseTables: true},
 		{DisableCalendarQueue: true},
 		{DisableBeaconAggregation: true},
-		{DisableSharding: true, DisableSpatialIndex: true, DisableSpannerCache: true,
+		{DisableSpatialIndex: true, DisableSpannerCache: true,
 			DisableDenseTables: true, DisableCalendarQueue: true, DisableBeaconAggregation: true},
 	}
 	for i, e := range single {
-		if got := runFaulted(t, 7, e, 0, faults); !reflect.DeepEqual(base, got) {
+		if got := runFaulted(t, 7, e, faults); !reflect.DeepEqual(base, got) {
 			t.Errorf("engine variant %d (%+v) diverged:\n  base: %+v\n  got:  %+v", i, e, base, got)
-		}
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		if got := runFaulted(t, 7, Engine{}, workers, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("parallelism=%d diverged:\n  base: %+v\n  got:  %+v", workers, base, got)
-		}
-	}
-	// All-zero thresholds force every parallel plane — reception
-	// verdicts, batched beacons, the bulk reindex, anti-entropy diffs —
-	// to fork on every batch, however small, crossing the fault schedule
-	// with maximal parallel coverage.
-	forceFork := &ForkThresholds{}
-	for _, workers := range []int{2, 8} {
-		if got := runFaulted(t, 7, Engine{ForkThresholds: forceFork}, workers, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("parallelism=%d fork-always diverged:\n  base: %+v\n  got:  %+v", workers, base, got)
 		}
 	}
 
 	if testing.Short() {
 		return
 	}
-	for mask := 1; mask < 64; mask++ {
+	for mask := 1; mask < 32; mask++ {
 		e := Engine{
-			DisableSharding:          mask&1 != 0,
-			DisableSpatialIndex:      mask&2 != 0,
-			DisableSpannerCache:      mask&4 != 0,
-			DisableDenseTables:       mask&8 != 0,
-			DisableCalendarQueue:     mask&16 != 0,
-			DisableBeaconAggregation: mask&32 != 0,
+			DisableSpatialIndex:      mask&1 != 0,
+			DisableSpannerCache:      mask&2 != 0,
+			DisableDenseTables:       mask&4 != 0,
+			DisableCalendarQueue:     mask&8 != 0,
+			DisableBeaconAggregation: mask&16 != 0,
 		}
-		// Sharded combinations run with forked-always thresholds so the
-		// hatch cross exercises the parallel planes, not just the pool
-		// attachment; calibrated thresholds are covered by the sweeps
-		// above.
-		if !e.DisableSharding {
-			e.ForkThresholds = forceFork
+		if got := runFaulted(t, 7, e, faults); !reflect.DeepEqual(base, got) {
+			t.Errorf("hatch mask %05b diverged:\n  base: %+v\n  got:  %+v", mask, base, got)
 		}
-		if got := runFaulted(t, 7, e, 4, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("hatch mask %06b diverged:\n  base: %+v\n  got:  %+v", mask, base, got)
-		}
-	}
-}
-
-// TestForkThresholdEquivalence is the pathological-threshold property
-// test: pinning the per-plane fork thresholds to the extremes — 0
-// (every batch forks, even singletons) and math.MaxInt (nothing ever
-// forks, the pool idles) — must leave a faulted run's result
-// byte-identical to the auto-calibrated default, for both protocols
-// and across worker counts. Thresholds gate only where work executes,
-// never what it computes.
-func TestForkThresholdEquivalence(t *testing.T) {
-	faults := faultTestSet()
-	run := func(p Protocol, ft *ForkThresholds, workers int) Result {
-		t.Helper()
-		s, err := NewScenario(
-			WithProtocol(p),
-			WithNodes(30),
-			WithWorkload(UniformWorkload{Messages: 40}),
-			WithSimTime(150),
-			WithSeed(11),
-			WithEngine(Engine{ForkThresholds: ft}),
-			WithParallelism(workers),
-			WithFaults(faults...),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	never := &ForkThresholds{RxMin: math.MaxInt, BeaconMin: math.MaxInt,
-		MobilityMin: math.MaxInt, DiffMin: math.MaxInt}
-	for _, p := range []Protocol{GLR, Epidemic} {
-		base := run(p, nil, 0)
-		if base.Delivered == 0 {
-			t.Fatalf("%s: baseline delivered nothing; the property test is vacuous", p)
-		}
-		for _, workers := range []int{2, 8} {
-			for name, ft := range map[string]*ForkThresholds{
-				"fork-always": {},
-				"fork-never":  never,
-			} {
-				if got := run(p, ft, workers); !reflect.DeepEqual(base, got) {
-					t.Errorf("%s parallelism=%d %s diverged:\n  base: %+v\n  got:  %+v",
-						p, workers, name, base, got)
-				}
-			}
-		}
-	}
-}
-
-// TestForkThresholdValidation: negative thresholds are rejected at
-// scenario construction.
-func TestForkThresholdValidation(t *testing.T) {
-	for _, ft := range []ForkThresholds{
-		{RxMin: -1}, {BeaconMin: -1}, {MobilityMin: -2}, {DiffMin: -3},
-	} {
-		ft := ft
-		if _, err := NewScenario(WithEngine(Engine{ForkThresholds: &ft})); err == nil {
-			t.Errorf("negative thresholds %+v accepted", ft)
-		}
-	}
-	if _, err := NewScenario(WithEngine(Engine{ForkThresholds: &ForkThresholds{}})); err != nil {
-		t.Errorf("zero thresholds rejected: %v", err)
 	}
 }
 
@@ -190,13 +98,12 @@ func TestForkThresholdValidation(t *testing.T) {
 func TestZeroFaultsByteIdentity(t *testing.T) {
 	engines := []Engine{
 		{},
-		{DisableSharding: true},
-		{DisableSharding: true, DisableSpatialIndex: true, DisableSpannerCache: true,
+		{DisableSpatialIndex: true, DisableSpannerCache: true,
 			DisableDenseTables: true, DisableCalendarQueue: true, DisableBeaconAggregation: true},
 	}
 	for i, e := range engines {
-		plain := runFaulted(t, 3, e, 0, nil)
-		empty := runFaulted(t, 3, e, 0, []Fault{})
+		plain := runFaulted(t, 3, e, nil)
+		empty := runFaulted(t, 3, e, []Fault{})
 		if !reflect.DeepEqual(plain, empty) {
 			t.Errorf("engine %d: empty WithFaults diverged from no faults:\n  plain: %+v\n  empty: %+v",
 				i, plain, empty)
@@ -366,6 +273,67 @@ func TestEncodeParseFaults(t *testing.T) {
 	}
 }
 
+// FuzzParseFaults: every slug ParseFaults accepts must re-encode to a
+// slug that parses back to an equal set, re-encoding that set must be
+// stable, and no input may panic. Plain `go test` runs the seed corpus.
+func FuzzParseFaults(f *testing.F) {
+	for _, s := range []string{
+		EncodeFaults(faultTestSet()),
+		"",
+		"meteor-strike(rate=1)",
+		"churn(rate=0.1,boom=2)",
+		"churn(rate=abc)",
+		"churn(rate0.1)",
+		"churn(rate=0.1",
+		"churn(rate=1000000,dur=30)+gps-noise(sigma=25)",
+		"gps-noise(sigma=Inf)",
+		"byzantine(frac=NaN)",
+		"churn(rate=-0,rate=2)",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		set, err := ParseFaults(s)
+		if err != nil {
+			return
+		}
+		enc := EncodeFaults(set)
+		back, err := ParseFaults(enc)
+		if err != nil {
+			t.Fatalf("ParseFaults(%q) accepted, but its encoding %q does not parse: %v", s, enc, err)
+		}
+		if !sameFaults(set, back) {
+			t.Fatalf("round trip of %q via %q changed the set:\n  in:  %+v\n  out: %+v", s, enc, set, back)
+		}
+		if again := EncodeFaults(back); again != enc {
+			t.Fatalf("re-encoding of %q drifted: %q vs %q", s, again, enc)
+		}
+	})
+}
+
+// sameFaults is reflect.DeepEqual over fault sets, except that a NaN
+// field equals a NaN field (ParseFaults accepts "NaN"; range checks
+// happen at scenario construction).
+func sameFaults(a, b []Fault) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		va, vb := reflect.ValueOf(a[i]), reflect.ValueOf(b[i])
+		for j := 0; j < va.NumField(); j++ {
+			x, y := va.Field(j), vb.Field(j)
+			if x.Kind() == reflect.Float64 {
+				if x.Float() != y.Float() && !(math.IsNaN(x.Float()) && math.IsNaN(y.Float())) {
+					return false
+				}
+			} else if x.Interface() != y.Interface() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestMatrixFaultAxis: fault sets are a first-class matrix axis — they
 // appear in Axes, expand the cell cross-product, ride cell labels, and
 // stay invisible (for cache-key stability) on fault-free cells.
@@ -457,8 +425,8 @@ func TestFaultKindsCoverInternal(t *testing.T) {
 // TestFaultedRunnerSmoke: a faulted scenario runs under the Runner's
 // replication machinery and degrades delivery versus fault-free.
 func TestFaultedRunnerSmoke(t *testing.T) {
-	res := runFaulted(t, 1, Engine{}, 0, nil)
-	faulted := runFaulted(t, 1, Engine{}, 0, []Fault{
+	res := runFaulted(t, 1, Engine{}, nil)
+	faulted := runFaulted(t, 1, Engine{}, []Fault{
 		{Kind: FaultChurn, Rate: 0.05, Duration: 60},
 		{Kind: FaultLinkBlackout, Rate: 0.6, Period: 10},
 	})

@@ -141,32 +141,22 @@
 //     tests in internal/core prove byte-identical end-to-end reports
 //     across every escape-hatch combination.
 //
-// On multi-core hosts a single run additionally executes on a sharded
-// engine: the region is partitioned into grid-cell stripes with halo
-// overlap of one radio range plus the index slack, a per-world worker
-// pool (internal/shard) evaluates the read-only parts of broadcast
-// reception resolution, beacon construction, mobility reindexing and
-// epidemic anti-entropy diffs concurrently, and every mutation commits
-// on the single event-loop goroutine in the exact order serial
-// execution would have produced — so sharded results are byte-identical
-// to serial, not merely statistically equivalent. WithParallelism sets
-// the pool width (0 = automatic, GOMAXPROCS; the Runner divides the
-// machine between its replication workers and each run's pool), and the
-// engine escape hatches — sharding included — are consolidated behind
+// A single run steps on one goroutine; multi-core hosts are used across
+// runs instead. Runner{Workers: n} spreads replications over n workers
+// (0 = GOMAXPROCS), and results are identical at every worker count, seed
+// for seed. The engine escape hatches are consolidated behind
 // WithEngine:
 //
 //	sc, err := glr.NewScenario(
-//		glr.WithParallelism(4),                          // 4 shard workers
-//		glr.WithEngine(glr.Engine{DisableSharding: true}), // bitwise-legacy serial
+//		glr.WithEngine(glr.Engine{DisableCalendarQueue: true}), // reference heap
 //	)
+//	cmp, err := glr.Runner{Workers: 4}.Compare(ctx, sc, 8) // 4 runs at a time
 //
-// Equivalence suites in internal/core and internal/sim compare sharded
-// runs against serial across every Engine combination and shard counts
-// 1/2/4/8 — including randomized mobile topologies whose traffic
-// deliberately straddles stripe boundaries — under the race detector,
-// asserting identical delivered-frame logs and identical end-to-end
-// reports. docs/ARCHITECTURE.md documents the stripe/halo geometry and
-// the determinism argument.
+// Equivalence suites in internal/core and the root package cross every
+// Engine combination, asserting identical end-to-end reports. Runs do
+// not shard internally: per-event batches follow local node density,
+// not world size, and stay too small to pay for a fork on the hosts
+// measured (see docs/ARCHITECTURE.md).
 //
 // The event core itself is a calendar queue (internal/des): events hash
 // into day buckets by timestamp, dequeue scans the current year of
@@ -189,8 +179,8 @@
 // The node-count scaling sweep (`glrexp -exp scale`) reports delivery,
 // wall-clock, spanner-construction time (cached vs from-scratch),
 // heap-allocation pressure (dense vs map-backed tables, via
-// runtime.ReadMemStats), and serial-vs-sharded wall clock for
-// 100..1000-node scenarios at the paper's density; at 1000 nodes the
+// runtime.ReadMemStats), and the per-phase wall clock of the fast run
+// for 100..1000-node scenarios at the paper's density; at 1000 nodes the
 // cached spanner path cuts construction ~3.6× and the dense state
 // plane removes over half of all heap allocations. CI guards the hot
 // paths with a benchmark-regression gate (cmd/benchgate): spanner +

@@ -94,3 +94,45 @@ func TestDenseTablesFullStackEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestFullStackEquivalence crosses every engine escape hatch — dense
+// tables, spatial index, spanner cache, calendar queue — in all sixteen
+// combinations. Every combination must reproduce the all-fast run bit
+// for bit, so any mix of reference paths is interchangeable.
+func TestFullStackEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-stack flag cross is slow")
+	}
+	var first interface{}
+	var firstName string
+	for mask := 0; mask < 16; mask++ {
+		denseOff := mask&1 != 0
+		spatialOff := mask&2 != 0
+		spannerOff := mask&4 != 0
+		calendarOff := mask&8 != 0
+		name := fmt.Sprintf("dense=%t spatial=%t spanner=%t calendar=%t",
+			!denseOff, !spatialOff, !spannerOff, !calendarOff)
+
+		factory, _, err := NewInstrumented(equivConfig(2, spannerOff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := equivScenario(2)
+		s.DisableDenseTables = denseOff
+		s.DisableSpatialIndex = spatialOff
+		s.DisableCalendarQueue = calendarOff
+		w, err := sim.NewWorld(s, factory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := w.Run()
+		if first == nil {
+			first, firstName = rep, name
+			continue
+		}
+		if !reflect.DeepEqual(first, rep) {
+			t.Fatalf("variant [%s] diverged from [%s]:\n  first: %+v\n  this:  %+v",
+				name, firstName, first, rep)
+		}
+	}
+}

@@ -18,8 +18,8 @@ import (
 // the reduced giant-world protocol: two modes (the full fast path vs
 // the reference binary-heap event core), a single replication, a short
 // fixed horizon, and a sampled heap-peak instead of allocation
-// counting. Below it the four-mode NodeCountSweep applies; above it
-// that protocol's 4×runs full-horizon executions would take hours and
+// counting. Below it the three-mode NodeCountSweep applies; above it
+// that protocol's 3×runs full-horizon executions would take hours and
 // its alloc counters would say nothing about residency, which is the
 // constraint that actually binds at 10k–100k nodes.
 const GiantTierNodes = 5000
@@ -232,7 +232,7 @@ func (r *GiantResult) Render() string {
 	} else {
 		sb.WriteString("WARNING: the calendar and heap event cores disagreed at some point —\n" +
 			"this should never happen; see TestCalendarHeapDispatchEquality and\n" +
-			"TestShardedFullStackEquivalence.\n")
+			"TestFullStackEquivalence.\n")
 	}
 	return sb.String()
 }

@@ -13,7 +13,6 @@ import (
 	"glr/internal/ldt"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
-	"glr/internal/shard"
 	"glr/internal/sim"
 	"glr/internal/stats"
 )
@@ -25,14 +24,12 @@ var NodeCountSizes = []int{100, 250, 500, 1000}
 // paperDensity is the paper's node density: 50 nodes in 1500 × 300 m.
 const paperDensity = 50.0 / (1500 * 300)
 
-// NodeCountPoint is one sweep point: the same scenario run four ways —
-// the full serial fast path (dense tables + spanner cache, sharding
-// off), the from-scratch spanner reference
-// (core.Config.DisableSpannerCache), the map-backed table reference
-// (sim.Scenario.DisableDenseTables), and the sharded engine (an
-// automatic GOMAXPROCS-wide worker pool) — with wall-clock,
-// spanner-construction time, and heap-allocation pressure measured for
-// each. All runs use the grid-indexed medium (PR 1); the naive medium
+// NodeCountPoint is one sweep point: the same scenario run three ways —
+// the full fast path (dense tables + spanner cache), the from-scratch
+// spanner reference (core.Config.DisableSpannerCache), and the
+// map-backed table reference (sim.Scenario.DisableDenseTables) — with
+// wall-clock, spanner-construction time, and heap-allocation pressure
+// measured for each. All runs use the grid-indexed medium (PR 1); the naive medium
 // keeps its own benchmarks in internal/mac.
 type NodeCountPoint struct {
 	N               int
@@ -42,19 +39,15 @@ type NodeCountPoint struct {
 	WallCached      time.Duration // mean per run
 	WallScratch     time.Duration
 	WallMapTables   time.Duration
-	WallSharded     time.Duration // sharded-engine runs
-	ShardWorkers    int           // pool width of the sharded runs (GOMAXPROCS)
 	SpannerCached   time.Duration // mean spanner-construction time per run
 	SpannerScratch  time.Duration
-	SpannerSharded  time.Duration    // mean spanner time within the sharded runs
-	Phases          sim.PhaseProf    // sharded runs: mean per-phase wall clock
-	Thresholds      shard.Thresholds // fork thresholds the sharded runs calibrated
-	TriHitRate      float64          // fast-path runs: witness-triangulation reuse
-	AllocsDense     uint64           // mean heap allocations per fast-path run
-	AllocsMapTables uint64           // mean heap allocations per map-backed run
-	GCDense         uint32           // mean GC cycles per fast-path run
-	GCMapTables     uint32           // mean GC cycles per map-backed run
-	Identical       bool             // all four reports matched exactly at every seed
+	Phases          sim.PhaseProf // fast-path runs: mean per-phase wall clock
+	TriHitRate      float64       // fast-path runs: witness-triangulation reuse
+	AllocsDense     uint64        // mean heap allocations per fast-path run
+	AllocsMapTables uint64        // mean heap allocations per map-backed run
+	GCDense         uint32        // mean GC cycles per fast-path run
+	GCMapTables     uint32        // mean GC cycles per map-backed run
+	Identical       bool          // all three reports matched exactly at every seed
 }
 
 // SpannerSpeedup returns from-scratch spanner-construction time over
@@ -72,16 +65,6 @@ func (p NodeCountPoint) WallSpeedup() float64 {
 		return 0
 	}
 	return float64(p.WallScratch) / float64(p.WallCached)
-}
-
-// ShardSpeedup returns serial fast-path wall-clock over sharded-engine
-// wall-clock (1.0 on a single-CPU host, where the automatic pool
-// resolves serial).
-func (p NodeCountPoint) ShardSpeedup() float64 {
-	if p.WallSharded <= 0 {
-		return 0
-	}
-	return float64(p.WallCached) / float64(p.WallSharded)
 }
 
 // AllocReduction returns the fraction of heap allocations the dense
@@ -120,14 +103,13 @@ func nodeCountScenario(n, msgs int, seed int64) sim.Scenario {
 // instrRun is one instrumented run's measurements: the report, the
 // shared-cache stats, the heap Mallocs / GC-cycle deltas across the run
 // (runtime.ReadMemStats), and — when profiled — the per-phase wall
-// clock and the fork thresholds the world ran with.
+// clock.
 type instrRun struct {
 	rep     metrics.Report
 	spanner ldt.SpannerStats
 	mallocs uint64
 	gc      uint32
 	phases  sim.PhaseProf
-	thr     shard.Thresholds
 }
 
 // executeInstrumented runs one GLR scenario with spanner and allocation
@@ -158,23 +140,20 @@ func executeInstrumented(ctx context.Context, s sim.Scenario, cfg core.Config, p
 		mallocs: after.Mallocs - before.Mallocs,
 		gc:      after.NumGC - before.NumGC,
 		phases:  w.PhaseProfile(),
-		thr:     w.ForkThresholds(),
 	}, nil
 }
 
 // NodeCountSweep measures how the simulator scales with node count at
-// fixed density. Each seed runs the same scenario four ways:
+// fixed density. Each seed runs the same scenario three ways:
 //
-//   - fast: dense tables + spanner cache, serial (sharding off);
+//   - fast: dense tables + spanner cache, with per-phase profiling;
 //   - scratch: core.Config.DisableSpannerCache (from-scratch spanner);
-//   - map: sim.Scenario.DisableDenseTables (map-backed tables);
-//   - sharded: the fast stack on the sharded engine (automatic
-//     GOMAXPROCS-wide worker pool).
+//   - map: sim.Scenario.DisableDenseTables (map-backed tables).
 //
 // It reports delivery, wall-clock, spanner-construction time fast vs
-// scratch, heap-allocation pressure fast vs map, and serial-vs-sharded
-// wall clock — and asserts all four reports are identical. sizes nil
-// means NodeCountSizes.
+// scratch, heap-allocation pressure fast vs map, and the fast run's
+// per-phase wall clock — and asserts all three reports are identical.
+// sizes nil means NodeCountSizes.
 // Replications are run sequentially (never in parallel) so the
 // wall-clock comparison is not distorted by CPU contention; o.Runs is
 // capped at 3 — even when overridden via `glrexp -runs` — because the
@@ -204,17 +183,12 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		var hitStats ldt.SpannerStats
 		var allocsDense, allocsMap uint64
 		var gcDense, gcMap uint32
-		point.ShardWorkers = runtime.GOMAXPROCS(0)
 		for r := 0; r < runs; r++ {
 			seed := o.BaseSeed + int64(r)
-			var reports [4]metrics.Report
-			for i, mode := range []string{"fast", "scratch", "map", "sharded"} {
+			var reports [3]metrics.Report
+			for i, mode := range []string{"fast", "scratch", "map"} {
 				s := nodeCountScenario(n, msgs, seed)
 				point.Region = s.Region
-				// The serial modes pin sharding off so their timings
-				// measure the legacy engine; "sharded" leaves the
-				// default automatic pool on.
-				s.DisableSharding = mode != "sharded"
 				cfg := core.DefaultConfig()
 				switch mode {
 				case "scratch":
@@ -223,7 +197,7 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 					s.DisableDenseTables = true
 				}
 				start := time.Now()
-				ir, err := executeInstrumented(ctx, s, cfg, mode == "sharded")
+				ir, err := executeInstrumented(ctx, s, cfg, mode == "fast")
 				elapsed := time.Since(start)
 				if err != nil {
 					return nil, err
@@ -238,24 +212,20 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 					point.WallMapTables += elapsed
 					allocsMap += ir.mallocs
 					gcMap += ir.gc
-				case "sharded":
-					point.WallSharded += elapsed
-					point.SpannerSharded += ir.spanner.BuildTime
-					point.Phases.Beacon += ir.phases.Beacon
-					point.Phases.Mobility += ir.phases.Mobility
-					point.Phases.Rx += ir.phases.Rx
-					point.Phases.AntiEntropy += ir.phases.AntiEntropy
-					point.Thresholds = ir.thr
 				default:
 					cached[r] = ir.rep.DeliveryRatio
 					point.WallCached += elapsed
 					point.SpannerCached += ir.spanner.BuildTime
+					point.Phases.Beacon += ir.phases.Beacon
+					point.Phases.Mobility += ir.phases.Mobility
+					point.Phases.Rx += ir.phases.Rx
+					point.Phases.AntiEntropy += ir.phases.AntiEntropy
 					hitStats.Add(ir.spanner)
 					allocsDense += ir.mallocs
 					gcDense += ir.gc
 				}
 			}
-			if reports[0] != reports[1] || reports[0] != reports[2] || reports[0] != reports[3] {
+			if reports[0] != reports[1] || reports[0] != reports[2] {
 				point.Identical = false
 			}
 		}
@@ -264,10 +234,8 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		point.WallCached /= time.Duration(runs)
 		point.WallScratch /= time.Duration(runs)
 		point.WallMapTables /= time.Duration(runs)
-		point.WallSharded /= time.Duration(runs)
 		point.SpannerCached /= time.Duration(runs)
 		point.SpannerScratch /= time.Duration(runs)
-		point.SpannerSharded /= time.Duration(runs)
 		point.Phases.Beacon /= time.Duration(runs)
 		point.Phases.Mobility /= time.Duration(runs)
 		point.Phases.Rx /= time.Duration(runs)
@@ -279,12 +247,11 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		point.GCMapTables = gcMap / uint32(runs)
 		res.Points = append(res.Points, point)
 		res.msgs = append(res.msgs, msgs)
-		o.progress("scale: n=%d -> delivery %.2f, spanner %v vs %v (%.1fx, hit %.0f%%), wall %v vs %v, sharded %v (%.1fx on %d workers), allocs %dM vs %dM (-%.0f%%)",
+		o.progress("scale: n=%d -> delivery %.2f, spanner %v vs %v (%.1fx, hit %.0f%%), wall %v vs %v, allocs %dM vs %dM (-%.0f%%)",
 			n, point.Delivery.Mean,
 			point.SpannerCached.Round(time.Millisecond), point.SpannerScratch.Round(time.Millisecond),
 			point.SpannerSpeedup(), 100*point.TriHitRate,
 			point.WallCached.Round(time.Millisecond), point.WallScratch.Round(time.Millisecond),
-			point.WallSharded.Round(time.Millisecond), point.ShardSpeedup(), point.ShardWorkers,
 			point.AllocsDense/1e6, point.AllocsMapTables/1e6, 100*point.AllocReduction())
 	}
 	return res, nil
@@ -307,69 +274,45 @@ func (r *NodeCountResult) Render() string {
 			fmt.Sprintf("%.1fx", p.SpannerSpeedup()),
 			fmt.Sprintf("%.0f%%", 100*p.TriHitRate),
 			p.WallCached.Round(time.Millisecond).String(),
-			p.WallSharded.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.1fx", p.ShardSpeedup()),
 			fmt.Sprintf("%.0fM", float64(p.AllocsDense)/1e6),
 			fmt.Sprintf("%.0fM", float64(p.AllocsMapTables)/1e6),
 			fmt.Sprintf("-%.0f%%", 100*p.AllocReduction()),
 			fmt.Sprintf("%d/%d", p.GCDense, p.GCMapTables),
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if len(r.Points) > 0 {
-		workers = r.Points[len(r.Points)-1].ShardWorkers
-	}
 	var sb strings.Builder
 	sb.WriteString(asciiplot.Table{
 		Title:   fmt.Sprintf("Node-count scaling sweep (fixed density, GLR, %d run(s)/point)", r.Runs),
-		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Spd-up", "Tri hits", "Wall", "Sharded", "Shd-up", "Allocs", "Allocs(map)", "Δalloc", "GC d/m"},
+		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Spd-up", "Tri hits", "Wall", "Allocs", "Allocs(map)", "Δalloc", "GC d/m"},
 		Rows:    rows,
 	}.Render())
-	sb.WriteString("\nSharded per-phase wall clock (share of the sharded run's wall):\n")
+	sb.WriteString("\nPer-phase wall clock (share of the fast run's wall):\n")
 	for _, p := range r.Points {
 		pct := func(d time.Duration) float64 {
-			if p.WallSharded <= 0 {
+			if p.WallCached <= 0 {
 				return 0
 			}
-			return 100 * float64(d) / float64(p.WallSharded)
+			return 100 * float64(d) / float64(p.WallCached)
 		}
 		sb.WriteString(fmt.Sprintf(
 			"  n=%-5d beacon %5.1f%%  mobility %5.1f%%  rx %5.1f%%  anti-entropy %5.1f%%  spanner %5.1f%%\n",
 			p.N, pct(p.Phases.Beacon), pct(p.Phases.Mobility), pct(p.Phases.Rx),
-			pct(p.Phases.AntiEntropy), pct(p.SpannerSharded)))
-	}
-	if len(r.Points) > 0 {
-		thr := r.Points[len(r.Points)-1].Thresholds
-		sb.WriteString(fmt.Sprintf(
-			"Calibrated fork thresholds (%d worker(s)): rx≥%s, beacon≥%s, mobility≥%s, diff≥%s\n",
-			workers, fmtThreshold(thr.RxMin), fmtThreshold(thr.BeaconMin),
-			fmtThreshold(thr.MobilityMin), fmtThreshold(thr.DiffMin)))
+			pct(p.Phases.AntiEntropy), pct(p.SpannerCached)))
 	}
 	sb.WriteString("\nSpanner columns time the GLR routing loop's local-graph construction\n" +
 		"through the shared ldt.Maintainer; \"Spd-up\" is the from-scratch reference\n" +
-		"(DisableSpannerCache) over it. \"Wall\" is the serial fast path and\n" +
-		fmt.Sprintf("\"Sharded\" the same run on the sharded engine (%d worker(s) here);\n", workers) +
-		"\"Shd-up\" is serial over sharded. Alloc columns count heap allocations\n" +
-		"per run (runtime.ReadMemStats Mallocs) on the dense slice-backed state\n" +
-		"plane vs the map-backed reference tables (DisableDenseTables); \"GC d/m\"\n" +
-		"is garbage-collection cycles dense/map.\n")
+		"(DisableSpannerCache) over it. \"Wall\" is the fast path, profiled per\n" +
+		"phase. Alloc columns count heap allocations per run (Mallocs) on the\n" +
+		"dense slice-backed state plane vs the map-backed reference tables\n" +
+		"(DisableDenseTables); \"GC d/m\" is garbage-collection cycles dense/map.\n")
 	if allIdentical {
-		sb.WriteString("All four paths produced identical end-to-end reports at every point.\n")
+		sb.WriteString("All three paths produced identical end-to-end reports at every point.\n")
 	} else {
-		sb.WriteString("WARNING: the fast, from-scratch-spanner, map-table, and sharded runs\n" +
+		sb.WriteString("WARNING: the fast, from-scratch-spanner, and map-table runs\n" +
 			"disagreed at some point — this should never happen; see the\n" +
 			"equivalence tests in internal/core and internal/sim.\n")
 	}
 	return sb.String()
-}
-
-// fmtThreshold renders one fork threshold; serial engines and degenerate
-// calibrations carry math.MaxInt, printed as "never".
-func fmtThreshold(v int) string {
-	if v == math.MaxInt {
-		return "never"
-	}
-	return fmt.Sprintf("%d", v)
 }
 
 // SpannerSpeedupAtLargestN returns the spanner-construction speedup at

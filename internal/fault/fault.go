@@ -5,13 +5,13 @@
 // custody. A set of declarative Specs compiles into a Plan whose
 // queries are pure functions of the compiled state and their arguments,
 // so the same (specs, n, region, horizon, seed) tuple always replays
-// the identical fault schedule — independent of engine escape hatches,
-// shard counts, and call order.
+// the identical fault schedule — independent of engine escape hatches
+// and call order.
 //
 // Determinism contract. Stochastic faults (link blackouts, GPS noise,
 // Byzantine membership) are stateless: each query hashes (seed, salt,
-// arguments) through a splitmix64 mixer, so concurrent shards asking
-// the same question get the same answer with no shared mutable state.
+// arguments) through a splitmix64 mixer, so every caller asking the
+// same question gets the same answer with no shared mutable state.
 // Churn is precomputed: Compile draws every outage interval up front
 // from a dedicated rand stream (never the world's RNG, whose draw
 // sequence must stay byte-identical to a fault-free run), and Down is
@@ -164,8 +164,8 @@ type Window struct {
 }
 
 // Plan is a compiled fault set. All query methods are pure: they read
-// only immutable compiled state and their arguments, so they are safe
-// to call concurrently from shard workers.
+// only immutable compiled state and their arguments, so their answers
+// never depend on call order.
 type Plan struct {
 	seed   int64
 	region mobility.Region
@@ -366,7 +366,7 @@ func (p *Plan) Byzantine(node int) bool { return p.byzantine[node] }
 // BlocksReception reports whether a frame from src arriving at dst at
 // time t must be lost: the receiver is crashed, the pair's link is
 // blacked out this epoch, or either endpoint sits inside an active
-// region blackout. Pure; safe from shard workers.
+// region blackout. Pure.
 func (p *Plan) BlocksReception(src, dst int, t float64, srcPos, dstPos geom.Point) bool {
 	if p.Down(dst, t) {
 		return true

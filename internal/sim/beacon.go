@@ -41,7 +41,6 @@ type beaconGroup struct {
 	members []*Node    // one cell's nodes, sorted by (phase, id)
 	nextAt  []des.Time // next fire time per member, parallel to members
 	cursor  int        // index of the member that fires next
-	due     []*Node    // scratch: the members due at the firing instant
 }
 
 // arm schedules the group's single pending event at the next member's
@@ -52,15 +51,14 @@ func (g *beaconGroup) arm() {
 
 // fire sends the hello of every member due at the current instant —
 // consecutive ring positions, in (phase, id) order — advances their next
-// fire times by one interval, and re-arms. The due members are
-// collected before any hello is sent: sends never touch the ring state,
-// so collect-then-send dispatches the identical member sequence while
-// letting World.sendBeacons construct a multi-member batch in parallel.
+// fire times by one interval, and re-arms.
 func (g *beaconGroup) fire() {
+	if g.w.prof != nil {
+		defer g.w.prof.clock(&g.w.prof.Beacon)()
+	}
 	t := g.w.sched.Now()
-	due := g.due[:0]
 	for g.nextAt[g.cursor] == t {
-		due = append(due, g.members[g.cursor])
+		n := g.members[g.cursor]
 		// now + interval at the exact fire time: the same float
 		// accumulation Ticker.tick performs.
 		g.nextAt[g.cursor] = t + g.w.cfg.BeaconInterval
@@ -68,9 +66,8 @@ func (g *beaconGroup) fire() {
 		if g.cursor == len(g.members) {
 			g.cursor = 0
 		}
+		n.sendBeacon()
 	}
-	g.due = due
-	g.w.sendBeacons(due)
 	g.arm()
 }
 

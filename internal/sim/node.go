@@ -124,18 +124,9 @@ func (n *Node) Neighbors() *dtn.NeighborTable {
 // Locations returns the node's location table (§2.3.1 diffusion state).
 func (n *Node) Locations() *dtn.LocationTable { return n.locations }
 
-// ShardPool exposes the world's shard worker pool, nil when the run is
-// serial (Scenario.DisableSharding, Parallelism 1, or a single-CPU
-// automatic resolution). Protocols may fork read-only batch work onto it
-// (Pool.Run); everything that mutates simulation state stays on the
-// event goroutine.
-func (n *Node) ShardPool() *shard.Pool { return n.world.pool }
-
-// ForkThresholds returns the run's per-plane fork thresholds
-// (shard.Never() on serial engines). Protocols forking batch work onto
-// ShardPool gate on the matching plane's threshold so below-break-even
-// batches stay inline.
-func (n *Node) ForkThresholds() shard.Thresholds { return n.world.thr }
+// ShardPool returns nil: every run steps on the serial engine. Kept for
+// perfbench until the benchmark's next change.
+func (n *Node) ShardPool() *shard.Pool { return nil }
 
 // PhaseProfiled reports whether the run collects per-phase wall-clock
 // attribution (see World.EnablePhaseProfile).
@@ -258,22 +249,13 @@ func (n *Node) sendBeacon() {
 	if n.world.nodeDown(n.id) {
 		return
 	}
+	// The advertised position is the true one in fault-free runs; under
+	// GPS noise or a Byzantine plan the node claims somewhere else, and
+	// every receiver's tables trust the claim.
 	bf := n.world.takeBeacon()
-	n.fillBeacon(bf)
-	n.countFrame(KindControl)
-	n.radio.Send(&bf.frame)
-}
-
-// fillBeacon constructs this node's current hello into the pooled
-// frame: neighbor-table expiry, advertised-neighbor fill, and the
-// advertised position (the true one in fault-free runs; under GPS
-// noise or a Byzantine plan the node claims somewhere else, and every
-// receiver's tables trust the claim). It touches only the node's own
-// tables, mobility model, and bf — plus pure reads of the clock and
-// the fault plan — so the batched beacon plane may run fillBeacon for
-// distinct nodes on parallel workers (see World.sendBeacons).
-func (n *Node) fillBeacon(bf *beaconFrame) {
 	adv := n.Neighbors().AppendAdvertised(bf.b.Neighbors[:0])
 	bf.b = Beacon{From: n.id, Pos: n.world.advertisedPos(n.id, n.Pos()), Time: n.Now(), Neighbors: adv}
 	bf.frame = mac.Frame{Dst: mac.Broadcast, Bits: beaconBits(len(adv)), Payload: bf}
+	n.countFrame(KindControl)
+	n.radio.Send(&bf.frame)
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // PhaseProf accumulates the wall clock spent in each stepping plane of
-// a run — the attribution the scale sweep prints so parallel-coverage
-// gains are visible per plane rather than only end to end. Profiling is
+// a run — the attribution the scale sweep prints so costs are visible
+// per plane rather than only end to end. Profiling is
 // off by default (a run pays one nil check per phase dispatch);
 // EnablePhaseProfile switches it on for a world before Run.
 //
@@ -57,7 +57,6 @@ func (w *World) PhaseProfile() PhaseProf {
 	return *w.prof
 }
 
-// ForkThresholds returns the per-plane fork thresholds in effect for
-// this world: the scenario's pinned values, the calibrated model for an
-// automatic sharded run, or shard.Never() for serial engines.
-func (w *World) ForkThresholds() shard.Thresholds { return w.thr }
+// ForkThresholds returns shard.Never(): every run steps on the serial
+// engine. Kept for perfbench until the benchmark's next change.
+func (w *World) ForkThresholds() shard.Thresholds { return shard.Never() }

@@ -7,12 +7,10 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"glr/internal/fault"
 	"glr/internal/mac"
 	"glr/internal/mobility"
-	"glr/internal/shard"
 )
 
 // MobilityKind selects the movement model for a scenario.
@@ -96,27 +94,10 @@ type Scenario struct {
 	// node-count sweep uses it to measure allocation pressure.
 	DisableDenseTables bool
 
-	// Parallelism bounds the world's shard worker pool — the within-run
-	// fork-join engine behind sharded reception verdicts, beacon
-	// construction, mobility reindexing and anti-entropy diffs. 0 means automatic (GOMAXPROCS); 1 forces serial
-	// stepping. Results are byte-identical at every setting; only the
-	// wall clock changes.
+	// Parallelism is validated (≥ 0) and otherwise ignored: every run
+	// steps on the serial engine. Kept for perfbench until the
+	// benchmark's next change.
 	Parallelism int
-
-	// DisableSharding pins the run to the fully serial engine regardless
-	// of Parallelism — the escape hatch mirroring DisableSpatialIndex /
-	// DisableDenseTables for the sharded stepping work. Results are
-	// identical; equivalence tests and the node-count sweep use it.
-	DisableSharding bool
-
-	// ForkThresholds overrides the sharded engine's per-plane fork
-	// thresholds (nil = measure once at world init via shard.Calibrate).
-	// Thresholds gate only whether a parallel plane forks onto the pool,
-	// never what it computes, so results are byte-identical at every
-	// setting — including the pathological 0 (always fork) and
-	// math.MaxInt (never fork), which the equivalence tests force.
-	// Ignored by serial runs.
-	ForkThresholds *shard.Thresholds
 
 	// DisableCalendarQueue backs the event core with the reference binary
 	// heap instead of the O(1)-amortized calendar queue. Dispatch order —
@@ -180,11 +161,6 @@ func (s Scenario) Validate() error {
 	case s.Parallelism < 0:
 		return fmt.Errorf("sim: parallelism %d must be nonnegative", s.Parallelism)
 	}
-	if t := s.ForkThresholds; t != nil {
-		if t.RxMin < 0 || t.BeaconMin < 0 || t.MobilityMin < 0 || t.DiffMin < 0 {
-			return fmt.Errorf("sim: fork thresholds %+v must be nonnegative", *t)
-		}
-	}
 	switch s.Mobility {
 	case MobilityWaypoint, MobilityStatic:
 	case MobilityRandomWalk:
@@ -225,19 +201,6 @@ func (s Scenario) Validate() error {
 		}
 	}
 	return nil
-}
-
-// shardWorkers resolves the effective worker count of the shard pool:
-// 1 (serial) when sharding is disabled, GOMAXPROCS when Parallelism is
-// automatic, the configured bound otherwise.
-func (s Scenario) shardWorkers() int {
-	if s.DisableSharding {
-		return 1
-	}
-	if s.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Parallelism
 }
 
 // maxDriftSpeed returns the fastest any node can move, for sizing the

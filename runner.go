@@ -3,7 +3,7 @@ package glr
 import (
 	"context"
 	"fmt"
-	"runtime"
+	"math"
 
 	"glr/internal/metrics"
 	"glr/internal/runner"
@@ -96,16 +96,13 @@ func (r Runner) Compare(ctx context.Context, s *Scenario, runs int) (Comparison,
 	if err := r.check(runs); err != nil {
 		return Comparison{}, err
 	}
-	budget := runnerShardBudget(r.Workers, 2*runs)
 	jobs := make([]runner.Job[metrics.Report], 0, 2*runs)
 	for _, proto := range []Protocol{GLR, Epidemic} {
 		proto := proto
 		for i := 0; i < runs; i++ {
 			seed := s.seed + int64(i)
 			jobs = append(jobs, func(ctx context.Context) (metrics.Report, error) {
-				cp := s.withProtocol(proto)
-				cp.parallelism = capParallelism(s.parallelism, budget)
-				return cp.runSeed(ctx, seed, false)
+				return s.withProtocol(proto).runSeed(ctx, seed, false)
 			})
 		}
 	}
@@ -121,48 +118,14 @@ func (r Runner) Compare(ctx context.Context, s *Scenario, runs int) (Comparison,
 
 // replicate fans one protocol's replications over the pool.
 func (r Runner) replicate(ctx context.Context, s *Scenario, proto Protocol, runs int) ([]metrics.Report, error) {
-	budget := runnerShardBudget(r.Workers, runs)
 	jobs := make([]runner.Job[metrics.Report], runs)
 	for i := 0; i < runs; i++ {
 		seed := s.seed + int64(i)
 		jobs[i] = func(ctx context.Context) (metrics.Report, error) {
-			cp := s.withProtocol(proto)
-			cp.parallelism = capParallelism(s.parallelism, budget)
-			return cp.runSeed(ctx, seed, false)
+			return s.withProtocol(proto).runSeed(ctx, seed, false)
 		}
 	}
 	return runner.Run(ctx, r.Workers, jobs)
-}
-
-// runnerShardBudget divides the machine between the Runner's replication
-// workers and each replication's shard pool: with w replications running
-// concurrently, each gets GOMAXPROCS/w shard workers (at least 1, i.e.
-// serial), so the combined goroutine count stays within GOMAXPROCS
-// instead of multiplying. Results are unaffected — per-run parallelism
-// is byte-identical at every setting — only the machine split changes.
-func runnerShardBudget(workers, jobs int) int {
-	procs := runtime.GOMAXPROCS(0)
-	w := workers
-	if w <= 0 {
-		w = procs
-	}
-	if jobs > 0 && jobs < w {
-		w = jobs
-	}
-	if b := procs / w; b > 1 {
-		return b
-	}
-	return 1
-}
-
-// capParallelism bounds a scenario's requested shard parallelism by the
-// runner's per-replication budget: automatic (0) takes the whole budget;
-// an explicit request is honored up to it.
-func capParallelism(p, budget int) int {
-	if p == 0 || p > budget {
-		return budget
-	}
-	return p
 }
 
 // withProtocol returns a shallow copy of the scenario pinned to proto.
@@ -209,12 +172,14 @@ func (r Runner) summarize(s *Scenario, proto Protocol, reports []metrics.Report,
 
 // check validates the runner's knobs and the replication count.
 // Confidence is a fraction in (0,1); 0 means the default 0.90 — a
-// percentage like 95 would otherwise silently produce ±Inf intervals.
+// percentage like 95 would otherwise silently produce ±Inf intervals,
+// and NaN fails both range comparisons, so non-finite values are
+// rejected explicitly.
 func (r Runner) check(runs int) error {
 	if runs < 1 {
 		return fmt.Errorf("glr: replication count %d must be ≥ 1", runs)
 	}
-	if r.Confidence < 0 || r.Confidence >= 1 {
+	if math.IsNaN(r.Confidence) || r.Confidence < 0 || r.Confidence >= 1 {
 		return fmt.Errorf("glr: confidence %v must be a fraction in [0,1) (0 = default 0.90)", r.Confidence)
 	}
 	return nil

@@ -2,8 +2,10 @@ package glr
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -126,6 +128,12 @@ func TestRunnerRejectsBadRuns(t *testing.T) {
 	}
 	if _, err := (Runner{Confidence: -0.5}).Replicate(context.Background(), sc, 2); err == nil {
 		t.Error("negative confidence accepted")
+	}
+	for _, c := range []float64{math.NaN(), math.Inf(1)} {
+		_, err := (Runner{Confidence: c}).Replicate(context.Background(), sc, 2)
+		if err == nil || !strings.Contains(err.Error(), "fraction in [0,1)") {
+			t.Errorf("confidence %v: err = %v, want the fraction-range error", c, err)
+		}
 	}
 }
 

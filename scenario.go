@@ -9,7 +9,6 @@ import (
 	"glr/internal/geom"
 	"glr/internal/metrics"
 	"glr/internal/mobility"
-	"glr/internal/shard"
 	"glr/internal/sim"
 )
 
@@ -34,8 +33,7 @@ type Scenario struct {
 	observers []*Observer
 	faults    []Fault // WithFaults: empty = fault-free
 
-	parallelism int // WithParallelism: 0 = auto, 1 = serial
-	engine      Engine
+	engine Engine
 }
 
 // Engine selects the execution engine for a scenario's runs — the
@@ -43,14 +41,11 @@ type Scenario struct {
 // restoring a reference implementation; results are byte-identical in
 // every combination (equivalence tests in internal/core assert it), so
 // the engine only changes speed and allocation pressure, never outcomes.
-// The zero value is the full fast path: sharded stepping, grid spatial
-// index, shared spanner cache, dense tables.
+// The zero value is the full fast path: grid spatial index, shared
+// spanner cache, dense tables, calendar queue, aggregated beacons. Runs
+// step on one goroutine; Runner's Workers spread replications over
+// cores.
 type Engine struct {
-	// DisableSharding pins runs to the fully serial engine regardless of
-	// WithParallelism: no worker pool and no fork-join stepping planes
-	// (reception verdicts, beacon construction, mobility reindexing,
-	// anti-entropy diffs).
-	DisableSharding bool
 	// DisableSpatialIndex resolves receptions and carrier sensing with
 	// naive O(n) scans instead of the uniform-grid index.
 	DisableSpatialIndex bool
@@ -69,37 +64,6 @@ type Engine struct {
 	// instead of aggregating beacons into one pending event per occupied
 	// grid cell.
 	DisableBeaconAggregation bool
-	// ForkThresholds pins the per-plane fork thresholds of a sharded run:
-	// a stepping plane forks its batch onto the worker pool only when the
-	// batch size reaches the plane's threshold, and runs inline otherwise.
-	// nil (the default) calibrates thresholds at world construction from a
-	// measured fork-cost model; pinning them makes fork decisions
-	// reproducible across hosts (useful for benchmarks and tests).
-	// Thresholds gate only whether work forks, never what it computes —
-	// results are byte-identical at every setting, including the
-	// pathological extremes 0 (always fork) and math.MaxInt (never fork).
-	// Ignored by serial runs.
-	ForkThresholds *ForkThresholds
-}
-
-// ForkThresholds carries the per-plane minimum batch sizes at which a
-// sharded run forks work onto the worker pool (see
-// Engine.ForkThresholds). A batch smaller than the plane's threshold
-// runs inline on the event goroutine; 0 forks always, math.MaxInt
-// never. All fields must be nonnegative.
-type ForkThresholds struct {
-	// RxMin gates reception-verdict batches: the candidate receivers of
-	// one ended airing.
-	RxMin int
-	// BeaconMin gates batched beacon construction: the due senders of
-	// one aggregated beacon event.
-	BeaconMin int
-	// MobilityMin gates the periodic bulk position reindex: the number
-	// of radios whose positions are re-extrapolated.
-	MobilityMin int
-	// DiffMin gates epidemic anti-entropy diffs: the number of summary
-	// ids screened against the local buffer.
-	DiffMin int
 }
 
 // WithEngine selects the execution engine (default: the zero Engine —
@@ -108,22 +72,6 @@ type ForkThresholds struct {
 func WithEngine(e Engine) Option {
 	return func(s *Scenario) error {
 		s.engine = e
-		return nil
-	}
-}
-
-// WithParallelism bounds the per-run shard worker pool: n workers step
-// the world's sharded phases concurrently. 0 (the default) sizes the
-// pool automatically to GOMAXPROCS; 1 forces serial execution. Results
-// are byte-identical at every setting — parallelism only changes wall
-// clock. Runner caps each replication's pool so combined workers across
-// concurrent replications stay within GOMAXPROCS.
-func WithParallelism(n int) Option {
-	return func(s *Scenario) error {
-		if n < 0 {
-			return fmt.Errorf("glr: parallelism %d must be nonnegative", n)
-		}
-		s.parallelism = n
 		return nil
 	}
 }
@@ -371,20 +319,10 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 		scn.Region.W, scn.Region.H = s.width, s.height
 	}
 	scn.StorageLimit = s.storageLimit
-	scn.Parallelism = s.parallelism
-	scn.DisableSharding = s.engine.DisableSharding
 	scn.DisableSpatialIndex = s.engine.DisableSpatialIndex
 	scn.DisableDenseTables = s.engine.DisableDenseTables
 	scn.DisableCalendarQueue = s.engine.DisableCalendarQueue
 	scn.DisableBeaconAggregation = s.engine.DisableBeaconAggregation
-	if ft := s.engine.ForkThresholds; ft != nil {
-		scn.ForkThresholds = &shard.Thresholds{
-			RxMin:       ft.RxMin,
-			BeaconMin:   ft.BeaconMin,
-			MobilityMin: ft.MobilityMin,
-			DiffMin:     ft.DiffMin,
-		}
-	}
 
 	// Workload generators draw random pairs over scn.N; reject
 	// degenerate sizes before they schedule (a one-trajectory Trace can
