@@ -96,30 +96,35 @@ func DefaultConfig(rng float64) Config {
 	}
 }
 
-// Validate reports a descriptive error for nonsensical configurations.
+// Validate reports a descriptive error for nonsensical configurations,
+// non-finite floats included.
 func (c Config) Validate() error {
 	switch {
-	case c.BitRate <= 0:
+	case !finite(c.BitRate) || c.BitRate <= 0:
 		return fmt.Errorf("mac: bit rate %v must be positive", c.BitRate)
-	case c.Range <= 0:
+	case !finite(c.Range) || c.Range <= 0:
 		return fmt.Errorf("mac: range %v must be positive", c.Range)
-	case c.CSRangeFactor < 1:
+	case !finite(c.CSRangeFactor) || c.CSRangeFactor < 1:
 		return fmt.Errorf("mac: carrier-sense factor %v must be ≥ 1", c.CSRangeFactor)
 	case c.QueueLen <= 0:
 		return fmt.Errorf("mac: queue length %d must be positive", c.QueueLen)
-	case c.SlotTime <= 0 || c.DIFS < 0 || c.SIFS < 0:
+	case !finite(c.SlotTime) || !finite(c.DIFS) || !finite(c.SIFS) ||
+		c.SlotTime <= 0 || c.DIFS < 0 || c.SIFS < 0:
 		return fmt.Errorf("mac: invalid timing parameters")
 	case c.CWMin <= 0 || c.CWMax < c.CWMin:
 		return fmt.Errorf("mac: invalid contention window [%d,%d]", c.CWMin, c.CWMax)
 	case c.MaxRetries < 0:
 		return fmt.Errorf("mac: negative retry budget")
-	case c.CaptureRatio < 0:
+	case !finite(c.CaptureRatio) || c.CaptureRatio < 0:
 		return fmt.Errorf("mac: negative capture ratio")
-	case c.IndexSlack < 0 || math.IsNaN(c.IndexSlack):
+	case !finite(c.IndexSlack) || c.IndexSlack < 0:
 		return fmt.Errorf("mac: index slack %v must be nonnegative", c.IndexSlack)
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Frame is one link-layer transmission unit. Payload is opaque to the MAC.
 type Frame struct {
@@ -160,14 +165,22 @@ type Stats struct {
 // unicast virtual carrier sensing). Reception resolution, carrier
 // sensing, and interference checks then touch only the 3×3 cell block
 // around a point instead of every radio and airing in the simulation.
+//
+// An airing is retained (in the active FIFO and the transmission index)
+// only until it can no longer overlap an airing still to be resolved:
+// pruneActive releases it once it has been resolved and ended by the
+// horizon, the earliest start among unresolved airings. Right after a
+// prune, every retained airing started at most two of the longest
+// airtimes ago, however long or short the frames are.
 type Medium struct {
 	cfg      Config
 	sched    *des.Scheduler
 	rng      *rand.Rand
 	radios   []*Radio
-	active   []*transmission // FIFO of recent & in-flight transmissions
+	active   []*transmission // FIFO, in start order, of airings that may still overlap an unresolved one
 	head     int             // index of the oldest retained entry in active
 	inflight int             // airings not yet ended (end > now)
+	horizon  des.Time        // earliest unresolved start at the last prune (see pruneActive)
 	stats    Stats
 
 	// Spatial index state (nil / unused when DisableSpatialIndex).
@@ -187,12 +200,16 @@ type Medium struct {
 	// rxClock, when non-nil, receives the wall-clock duration of each
 	// end-of-airing resolution batch (see SetRxClock).
 	rxClock func(time.Duration)
+	// afterPrune, when non-nil, runs after every pruneActive; the
+	// package's tests use it to check the retention invariants.
+	afterPrune func()
 }
 
 // takeTx returns a recycled (or fresh) transmission object. Recycling is
-// safe because every reference to a transmission — the active FIFO, the
-// spatial handles, batch, and txCand — is dropped by the time pruneActive
-// releases it; radios keep only value copies of their own airings.
+// safe because pruneActive releases a transmission only after its end
+// event has fired, and every other reference to it — the active FIFO,
+// the spatial handles, batch, and txCand — is dropped by then; radios
+// keep only value copies of their own airings.
 func (m *Medium) takeTx() *transmission {
 	if n := len(m.txFree); n > 0 {
 		t := m.txFree[n-1]
@@ -286,8 +303,9 @@ func (m *Medium) Reindex() {
 }
 
 // transmission is one airing of a frame. Objects are pooled by the
-// medium (see takeTx/pruneActive); onEnd is the reusable end-of-airing
-// event handler, allocated once per pooled object.
+// medium: pruneActive releases one once it is resolved and ended by the
+// horizon, and takeTx hands it out again. onEnd is the reusable
+// end-of-airing event handler, allocated once per pooled object.
 type transmission struct {
 	from       *Radio
 	frame      *Frame
@@ -303,7 +321,8 @@ type transmission struct {
 
 // airing is a value copy of a transmission's interval, retained on the
 // sending radio for half-duplex checks after the transmission object
-// may have been recycled.
+// may have been recycled. A radio drops it on its next airing once it
+// ended by the medium's horizon (see indexTransmission).
 type airing struct {
 	start, end des.Time
 }
@@ -373,11 +392,6 @@ func (m *Medium) busyFor(p geom.Point) (bool, des.Time) {
 	return busy, until
 }
 
-// activeSlack is how long a finished transmission is retained, in
-// seconds; far larger than any frame airtime, so every airing that could
-// still overlap an in-flight one is kept.
-const activeSlack = 1.0
-
 // allocHandle registers t under a recycled spatial-index handle at
 // anchor p.
 func (m *Medium) allocHandle(t *transmission, p geom.Point) int {
@@ -418,27 +432,45 @@ func (m *Medium) indexTransmission(t *transmission) {
 		t.h1 = m.allocHandle(t, t.rxPos)
 	}
 	// Remember the airing interval on the sender for half-duplex
-	// checks, pruning entries too old to overlap anything in flight.
-	now := m.sched.Now()
+	// checks, dropping entries that ended by the horizon of the last
+	// prune: no airing still to be resolved can overlap them. The stored
+	// horizon may be stale, but the horizon only grows, so a stale one
+	// keeps more, never less.
 	keep := t.from.recent[:0]
 	for _, u := range t.from.recent {
-		if u.end+activeSlack > now {
+		if u.end > m.horizon {
 			keep = append(keep, u)
 		}
 	}
 	t.from.recent = append(keep, airing{start: t.start, end: t.end})
 }
 
-// pruneActive drops transmissions old enough that they can no longer
-// overlap anything in flight. Airings expire in near-FIFO order (they
-// are appended in start order and airtimes are bounded by activeSlack),
-// so popping from the front is amortized O(1) per airing; the handful of
-// out-of-order stragglers a long frame keeps alive are filtered by the
-// overlap checks like any other retained entry.
+// pruneActive releases the airings that can no longer affect any
+// outcome. The horizon is the earliest start among airings not yet
+// resolved (the active FIFO is in start order, so it is the start of the
+// first unresolved entry); every airing still to be resolved, and every
+// future one, starts at or after it. Overlap is strict, so an airing
+// that ended by the horizon can corrupt no reception and, having ended
+// by now, occupies no channel. Head entries are popped once resolved and
+// ended by the horizon, amortized O(1) per airing; a resolved entry
+// behind a still-needed one waits and is filtered by the overlap checks
+// like any other retained entry. A popped entry's own end event has
+// fired, so recycling it is safe: simultaneous events fire in scheduling
+// order, and an airing resolved in a batch was scheduled before any
+// airing whose end event can trigger a later prune in the same tick.
 func (m *Medium) pruneActive() {
-	now := m.sched.Now()
-	for m.head < len(m.active) && m.active[m.head].end+activeSlack <= now {
+	m.horizon = m.sched.Now()
+	for _, t := range m.active[m.head:] {
+		if !t.resolved {
+			m.horizon = t.start
+			break
+		}
+	}
+	for m.head < len(m.active) {
 		t := m.active[m.head]
+		if !t.resolved || t.end > m.horizon {
+			break
+		}
 		if m.txIdx != nil {
 			m.releaseHandle(t.h0)
 			if t.h1 >= 0 {
@@ -567,6 +599,9 @@ func (m *Medium) resolveEnds(t *transmission) {
 	}
 	now := m.sched.Now()
 	m.pruneActive()
+	if m.afterPrune != nil {
+		m.afterPrune()
+	}
 	m.batch = m.batch[:0]
 	for _, u := range m.active[m.head:] {
 		if !u.resolved && u.end == now {

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"math"
 	"testing"
 
 	"glr/internal/des"
@@ -64,6 +65,27 @@ func TestConfigValidate(t *testing.T) {
 				t.Error("expected validation error")
 			}
 		})
+	}
+	// Every float field rejects NaN and ±Inf (NaN <= 0 is false, so a
+	// plain range check would let it through).
+	floats := map[string]func(*Config) *float64{
+		"BitRate":       func(c *Config) *float64 { return &c.BitRate },
+		"Range":         func(c *Config) *float64 { return &c.Range },
+		"CSRangeFactor": func(c *Config) *float64 { return &c.CSRangeFactor },
+		"SlotTime":      func(c *Config) *float64 { return &c.SlotTime },
+		"DIFS":          func(c *Config) *float64 { return &c.DIFS },
+		"SIFS":          func(c *Config) *float64 { return &c.SIFS },
+		"CaptureRatio":  func(c *Config) *float64 { return &c.CaptureRatio },
+		"IndexSlack":    func(c *Config) *float64 { return &c.IndexSlack },
+	}
+	for name, field := range floats {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig(100)
+			*field(&cfg) = v
+			if cfg.Validate() == nil {
+				t.Errorf("%s = %v accepted", name, v)
+			}
+		}
 	}
 	if err := DefaultConfig(100).Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
