@@ -8,7 +8,7 @@ SHELL := /bin/bash
 
 # Benchmarks under the CI regression gate (spanner construction + MAC
 # medium + dense node-state plane + beacon tick + the event-core
-# scheduler pair + the parallel Runner sweep + the WorldStep{Serial,
+# scheduler + the parallel Runner sweep + the WorldStep{Serial,
 # Faults} macro-benchmarks + the calibration probe benchgate
 # normalizes by). The gate covers ns/op (calibration-normalized) and,
 # from -benchmem, B/op and allocs/op (raw).
@@ -53,8 +53,7 @@ bench-baseline:
 	$(GO) run ./cmd/benchgate -in bench.txt -write ci/bench_baseline.json
 
 ## mem-gate is the CI memory-ceiling job: run the 10k-node giant scale
-## tier (fast path vs heap event core, byte-identity asserted inside
-## the sweep) and fail if its sampled peak heap exceeds the committed
+## tier once and fail if its sampled peak heap exceeds the committed
 ## per-scenario ceiling in ci/mem_budget.json.
 mem-gate:
 	$(GO) run ./cmd/glrexp -exp scale -sizes 10000 -memreport memreport.json | tee scale-giant.txt

@@ -22,16 +22,15 @@ func faultTestSet() []Fault {
 	}
 }
 
-// runFaulted runs a small faulted scenario under the given engine and
-// returns its result.
-func runFaulted(t *testing.T, seed int64, engine Engine, faults []Fault) Result {
+// runFaulted runs a small scenario under the given faults and returns
+// its result.
+func runFaulted(t *testing.T, seed int64, faults []Fault) Result {
 	t.Helper()
 	opts := []Option{
 		WithNodes(30),
 		WithWorkload(UniformWorkload{Messages: 40}),
 		WithSimTime(150),
 		WithSeed(seed),
-		WithEngine(engine),
 	}
 	if len(faults) > 0 {
 		opts = append(opts, WithFaults(faults...))
@@ -47,67 +46,15 @@ func runFaulted(t *testing.T, seed int64, engine Engine, faults []Fault) Result 
 	return res
 }
 
-// TestFaultedRunEquivalence: a faulted run must produce identical
-// results on every engine escape hatch — the fault schedule is a pure
-// function of (fault set, seed), never of the execution strategy. Short
-// mode crosses each single hatch; full mode crosses all 32 hatch
-// combinations.
-func TestFaultedRunEquivalence(t *testing.T) {
-	faults := faultTestSet()
-	base := runFaulted(t, 7, Engine{}, faults)
-	if base.Delivered == 0 {
-		t.Fatal("faulted baseline delivered nothing; scenario too hostile to be meaningful")
-	}
-
-	single := []Engine{
-		{DisableSpatialIndex: true},
-		{DisableSpannerCache: true},
-		{DisableDenseTables: true},
-		{DisableCalendarQueue: true},
-		{DisableBeaconAggregation: true},
-		{DisableSpatialIndex: true, DisableSpannerCache: true,
-			DisableDenseTables: true, DisableCalendarQueue: true, DisableBeaconAggregation: true},
-	}
-	for i, e := range single {
-		if got := runFaulted(t, 7, e, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("engine variant %d (%+v) diverged:\n  base: %+v\n  got:  %+v", i, e, base, got)
-		}
-	}
-
-	if testing.Short() {
-		return
-	}
-	for mask := 1; mask < 32; mask++ {
-		e := Engine{
-			DisableSpatialIndex:      mask&1 != 0,
-			DisableSpannerCache:      mask&2 != 0,
-			DisableDenseTables:       mask&4 != 0,
-			DisableCalendarQueue:     mask&8 != 0,
-			DisableBeaconAggregation: mask&16 != 0,
-		}
-		if got := runFaulted(t, 7, e, faults); !reflect.DeepEqual(base, got) {
-			t.Errorf("hatch mask %05b diverged:\n  base: %+v\n  got:  %+v", mask, base, got)
-		}
-	}
-}
-
 // TestZeroFaultsByteIdentity: building a scenario with an empty
-// WithFaults (or none at all) must leave every engine's results
-// byte-identical — the fault subsystem may not perturb a fault-free
-// run, not even by consuming an RNG draw or an event sequence number.
+// WithFaults (or none at all) must leave results byte-identical — the
+// fault subsystem may not perturb a fault-free run, not even by
+// consuming an RNG draw or an event sequence number.
 func TestZeroFaultsByteIdentity(t *testing.T) {
-	engines := []Engine{
-		{},
-		{DisableSpatialIndex: true, DisableSpannerCache: true,
-			DisableDenseTables: true, DisableCalendarQueue: true, DisableBeaconAggregation: true},
-	}
-	for i, e := range engines {
-		plain := runFaulted(t, 3, e, nil)
-		empty := runFaulted(t, 3, e, []Fault{})
-		if !reflect.DeepEqual(plain, empty) {
-			t.Errorf("engine %d: empty WithFaults diverged from no faults:\n  plain: %+v\n  empty: %+v",
-				i, plain, empty)
-		}
+	plain := runFaulted(t, 3, nil)
+	empty := runFaulted(t, 3, []Fault{})
+	if !reflect.DeepEqual(plain, empty) {
+		t.Errorf("empty WithFaults diverged from no faults:\n  plain: %+v\n  empty: %+v", plain, empty)
 	}
 }
 
@@ -425,8 +372,8 @@ func TestFaultKindsCoverInternal(t *testing.T) {
 // TestFaultedRunnerSmoke: a faulted scenario runs under the Runner's
 // replication machinery and degrades delivery versus fault-free.
 func TestFaultedRunnerSmoke(t *testing.T) {
-	res := runFaulted(t, 1, Engine{}, nil)
-	faulted := runFaulted(t, 1, Engine{}, []Fault{
+	res := runFaulted(t, 1, nil)
+	faulted := runFaulted(t, 1, []Fault{
 		{Kind: FaultChurn, Rate: 0.05, Duration: 60},
 		{Kind: FaultLinkBlackout, Rate: 0.6, Period: 10},
 	})

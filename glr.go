@@ -73,10 +73,10 @@
 // drift in between, which keeps grid resolution exactly equivalent to a
 // full scan (a property test in internal/mac asserts identical delivered
 // frame sets and MAC statistics across randomized static and mobile
-// topologies). The naive O(n²) path remains available behind
-// mac.Config.DisableSpatialIndex as an escape hatch and benchmark
-// baseline: BenchmarkMediumBroadcast{Naive,Grid} in internal/mac compare
-// the two on a 1000-radio medium.
+// topologies). The naive O(n²) path stays inside internal/mac
+// (mac.Config.DisableSpatialIndex) as that property's reference and as a
+// benchmark baseline: BenchmarkMediumBroadcast{Naive,Grid} compare the
+// two on a 1000-radio medium.
 //
 // The GLR routing loop's spanner construction — the per-check k-LDTG a
 // node derives from beacon knowledge — runs through a persistent cache
@@ -102,20 +102,20 @@
 //     allocations. The reference construction is kept as
 //     geom.DelaunayRef and is equivalence-tested against the mesh.
 //   - The Gabriel and UDG ablation spanners ride the same result cache.
-//   - core.Config.DisableSpannerCache restores the from-scratch
-//     reference path (mirroring DisableSpatialIndex); equivalence tests
-//     in internal/core assert that cached and from-scratch runs produce
-//     identical per-node accepted-neighbor sets and identical end-to-end
-//     reports across randomized mobile scenarios.
+//   - The from-scratch reference path stays inside internal/core
+//     (core.Config.DisableSpannerCache); equivalence tests there assert
+//     that cached and from-scratch runs produce identical per-node
+//     accepted-neighbor sets and identical end-to-end reports across
+//     randomized mobile and faulted scenarios.
 //
 // The per-node state plane — the neighbor and location tables every DTN
 // node refreshes on every received beacon — is dense and generation-
 // stamped rather than map-based: rows live in per-world id-indexed
 // arrays (dtn.NewDenseNeighborTable/NewDenseLocationTable), a row is
 // live iff its stamp matches the table generation (O(1) upsert, O(1)
-// whole-table reset), and a sorted live-id list keeps outputs in the
-// same deterministic order as the map-backed reference. The hot tick
-// path is allocation-free in steady state:
+// whole-table reset), and a sorted live-id list keeps outputs in
+// ascending id order. The hot tick path is allocation-free in steady
+// state:
 //
 //   - Observe copies each beacon's advertised list into row-owned
 //     backing arrays reused across refreshes, so beacon payloads (frame,
@@ -133,56 +133,46 @@
 //     grid cells (epoch-stamped dedup), with closure-free NearIDs
 //     queries into reused buffers; per-radio backoff/defer retries reuse
 //     one pre-allocated handler.
-//   - The map-backed reference tables remain behind
-//     sim.Scenario.DisableDenseTables (mirroring DisableSpatialIndex and
-//     DisableSpannerCache); property tests in internal/dtn drive both
-//     backends through randomized churn — expiry, re-appearance, id
-//     reuse, relabeling — asserting identical outputs, and equivalence
-//     tests in internal/core prove byte-identical end-to-end reports
-//     across every escape-hatch combination.
+//   - A map-based reference neighbor table lives in internal/dtn's
+//     tests; property tests drive the dense and compact backends against
+//     it through randomized churn — expiry, re-appearance, id reuse,
+//     relabeling — asserting identical outputs.
 //
-// A single run steps on one goroutine; multi-core hosts are used across
-// runs instead. Runner{Workers: n} spreads replications over n workers
-// (0 = GOMAXPROCS), and results are identical at every worker count, seed
-// for seed. The engine escape hatches are consolidated behind
-// WithEngine:
+// Every run steps on one engine, on one goroutine; multi-core hosts are
+// used across runs instead. Runner{Workers: n} spreads replications over
+// n workers (0 = GOMAXPROCS), and results are identical at every worker
+// count, seed for seed:
 //
-//	sc, err := glr.NewScenario(
-//		glr.WithEngine(glr.Engine{DisableCalendarQueue: true}), // reference heap
-//	)
 //	cmp, err := glr.Runner{Workers: 4}.Compare(ctx, sc, 8) // 4 runs at a time
 //
-// Equivalence suites in internal/core and the root package cross every
-// Engine combination, asserting identical end-to-end reports. Runs do
-// not shard internally: per-event batches follow local node density,
-// not world size, and stay too small to pay for a fork on the hosts
-// measured (see docs/ARCHITECTURE.md).
+// Runs do not shard internally: per-event batches follow local node
+// density, not world size, and stay too small to pay for a fork on the
+// hosts measured (see docs/ARCHITECTURE.md). The reference
+// implementations the engine was proven against live in tests, each at
+// its own layer (docs/ARCHITECTURE.md, "Reference oracles").
 //
 // The event core itself is a calendar queue (internal/des): events hash
 // into day buckets by timestamp, dequeue scans the current year of
 // buckets behind a cursor, and the bucket count and day width track the
 // live population, so schedule/cancel/dispatch stay O(1) amortized
-// where the reference binary heap pays O(log n) per operation at
-// 10k–100k pending events (BenchmarkSchedulerCalendar vs
-// BenchmarkSchedulerHeap, ~10⁶ resident events). Dispatch follows the
-// exact (time, seq) total order both backends share, so calendar and
-// heap runs are byte-identical, not merely statistically equivalent.
-// Two more giant-world levers ride on it: beacons aggregate into one
-// pending event per occupied grid cell (members fire in phase order
-// under a ring cursor), collapsing the dominant event population, and
-// above 2048 nodes the per-node tables switch from dense id-indexed
-// arrays to compact slot-mapped rows (dtn.NewCompactNeighborTable) so
-// table memory is O(neighborhood) per node instead of O(world).
-// Engine.DisableCalendarQueue and Engine.DisableBeaconAggregation
-// restore the reference heap and per-node tickers.
+// where a binary heap pays O(log n) per operation
+// (BenchmarkSchedulerCalendar holds ~10⁶ resident events). Dispatch
+// follows the exact (time, seq) total order, checked event for event
+// against a linear-scan reference scheduler under randomized and fuzzed
+// scripts. Two more giant-world levers ride on it: every hello beacon
+// fires through one pending event — a ring of all nodes sorted by
+// (phase, id) under a cursor, checked against per-node tickers —
+// collapsing the dominant event population, and above 2048 nodes the
+// per-node tables switch from dense id-indexed arrays to compact
+// slot-mapped rows (dtn.NewCompactNeighborTable) so table memory is
+// O(neighborhood) per node instead of O(world).
 //
 // The node-count scaling sweep (`glrexp -exp scale`) reports delivery,
 // wall-clock, spanner-construction time (cached vs from-scratch),
-// heap-allocation pressure (dense vs map-backed tables, via
-// runtime.ReadMemStats), and the per-phase wall clock of the fast run
-// for 100..1000-node scenarios at the paper's density; at 1000 nodes the
-// cached spanner path cuts construction ~3.6× and the dense state
-// plane removes over half of all heap allocations. CI guards the hot
+// heap-allocation pressure (runtime.ReadMemStats), and the per-phase
+// wall clock of the fast run for 100..1000-node scenarios at the paper's
+// density; at 1000 nodes the cached spanner path cuts construction
+// ~3.6×. CI guards the hot
 // paths with a benchmark-regression gate (cmd/benchgate): spanner +
 // medium + table + beacon-tick + world-step benchmarks run five times
 // with -benchmem, per-benchmark median ns/op is normalized by a
@@ -509,8 +499,9 @@ func (cfg Config) Scenario() (*Scenario, error) {
 // buildFactory constructs the protocol factory shared by the scenario
 // builder and the legacy Config adapter, validating every knob (invalid
 // values error instead of passing through as "unset").
-// disableSpannerCache threads Engine.DisableSpannerCache down to the GLR
-// core (a no-op for the epidemic baseline, which builds no spanners).
+// disableSpannerCache selects the GLR core's from-scratch reference
+// spanner (a no-op for the epidemic baseline, which builds no spanners);
+// every public path passes false.
 func buildFactory(p Protocol, g *GLRConfig, e *EpidemicConfig, disableSpannerCache bool) (sim.ProtocolFactory, error) {
 	// Both knob sets validate regardless of the selected protocol:
 	// Runner.Compare runs the same scenario under either.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"glr/internal/fault"
 	"glr/internal/ldt"
 	"glr/internal/sim"
 )
@@ -41,40 +42,62 @@ func equivConfig(trial int, disableCache bool) Config {
 // a run with the shared spanner cache must produce *identical* end-to-end
 // results — delivery, latency, hops, storage, frame counts — to the same
 // run on the from-scratch reference path. Any divergence means the cache
-// (or the mesh triangulator under it) changed a routing decision.
+// (or the mesh triangulator under it) changed a routing decision. The
+// "faulted" case runs every disruption model at once — churn with state
+// loss, link and region blackouts, GPS noise, Byzantine nodes — so
+// crash-time resets, fault-gated reception and falsified beacon
+// positions all flow through both spanner paths.
 func TestSpannerCacheRunEquivalence(t *testing.T) {
 	const trials = 21
 	delivered := 0
+	check := func(t *testing.T, s sim.Scenario, trial int) (faultDrops uint64) {
+		var reports [2]interface{}
+		for i, disable := range []bool{false, true} {
+			factory, maint, err := NewInstrumented(equivConfig(trial, disable))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := sim.NewWorld(s, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := w.Run()
+			reports[i] = rep
+			delivered += rep.Delivered
+			faultDrops = w.Medium().Stats().FaultDrops
+			st := maint.Stats()
+			if st.Queries == 0 {
+				t.Fatal("no spanner queries recorded")
+			}
+			if disable && (st.TriBuilds != 0 || st.TriHits != 0 || st.ResultHits != 0) {
+				t.Fatalf("from-scratch run used the cache: %+v", st)
+			}
+		}
+		if !reflect.DeepEqual(reports[0], reports[1]) {
+			t.Fatalf("cached run diverged from from-scratch:\n  cached: %+v\n  scratch: %+v",
+				reports[0], reports[1])
+		}
+		return faultDrops
+	}
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			var reports [2]interface{}
-			for i, disable := range []bool{false, true} {
-				factory, maint, err := NewInstrumented(equivConfig(trial, disable))
-				if err != nil {
-					t.Fatal(err)
-				}
-				w, err := sim.NewWorld(equivScenario(trial), factory)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep := w.Run()
-				reports[i] = rep
-				delivered += rep.Delivered
-				st := maint.Stats()
-				if st.Queries == 0 {
-					t.Fatal("no spanner queries recorded")
-				}
-				if disable && (st.TriBuilds != 0 || st.TriHits != 0 || st.ResultHits != 0) {
-					t.Fatalf("from-scratch run used the cache: %+v", st)
-				}
-			}
-			if !reflect.DeepEqual(reports[0], reports[1]) {
-				t.Fatalf("cached run diverged from from-scratch:\n  cached: %+v\n  scratch: %+v",
-					reports[0], reports[1])
-			}
+			check(t, equivScenario(trial), trial)
 		})
 	}
+	t.Run("faulted", func(t *testing.T) {
+		s := equivScenario(7)
+		s.Faults = []fault.Spec{
+			{Kind: fault.Churn, Rate: 0.01, Duration: 15},
+			{Kind: fault.LinkBlackout, Rate: 0.2, Period: 10},
+			{Kind: fault.GPSNoise, Sigma: 30},
+			{Kind: fault.Byzantine, Fraction: 0.2},
+			{Kind: fault.RegionBlackout, X: 100, Y: 50, W: 300, H: 100, Start: 20, End: 50},
+		}
+		if drops := check(t, s, 7); drops == 0 {
+			t.Fatal("no reception was fault-gated; the faulted case is vacuous")
+		}
+	})
 	if delivered == 0 {
 		t.Fatal("equivalence suite delivered nothing; scenarios too hostile to be meaningful")
 	}

@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// calendarQueue is the default eventQueue: a Brown-style calendar queue
+// calendarQueue is the Scheduler's event queue: a Brown-style calendar queue
 // (R. Brown, "Calendar queues: a fast O(1) priority queue implementation
 // for the simulation event set problem", CACM 1988), the structure NS-2's
 // scheduler made standard for network DES.
@@ -15,14 +15,14 @@ import (
 // "year" and recycle across years. Each bucket keeps its events in an
 // intrusive singly-linked chain sorted by the total order eventLess, so
 // dequeue order within a day is exact — there is no approximate binning,
-// and dispatch order is byte-identical to the reference heap. Chains make
+// and dispatch follows the total (time, seq) order. Chains make
 // enqueue and dequeue allocation-free: an event links into its bucket
 // through its own next pointer, so steady-state scheduling never grows a
 // slice and never feeds the garbage collector. With the width matched to
 // the local event density (≈1 event per day near the head; see newWidth)
 // and the bucket count resized to stay within a factor of two of the
 // event count, enqueue and dequeue touch O(1) events amortized, versus
-// the heap's O(log n) sift paths.
+// a binary heap's O(log n) sift paths.
 //
 // Dequeue keeps a cursor (lastV, the virtual day of the dequeue
 // position): the minimum event is found by scanning days forward from
@@ -69,8 +69,6 @@ func newCalendarQueue() *calendarQueue {
 		invW:  1.0,
 	}
 }
-
-func (q *calendarQueue) size() int { return q.count }
 
 // vday maps a timestamp to its virtual day. Timestamps are nonnegative
 // (the Scheduler rejects scheduling before time 0), so truncation is

@@ -11,17 +11,15 @@
 // monotone sequence number breaks ties), so a run is bit-reproducible for a
 // given seed.
 //
-// Two event-queue backends share the Scheduler: the calendar queue
-// (NewScheduler, O(1) amortized schedule/dispatch; see calqueue.go) and
-// the reference binary heap (NewHeapScheduler, O(log n) per operation).
-// Both dispatch in exactly the same strict (time, seq) order — seq is
-// unique, so the order is total and has no implementation-defined ties —
-// which makes runs byte-identical across backends. The simulator selects
-// the backend via sim.Scenario.DisableCalendarQueue.
+// The event queue is a calendar queue (O(1) amortized schedule/dispatch;
+// see calqueue.go) that dispatches in the strict (time, seq) order — seq
+// is unique, so the order is total and has no implementation-defined
+// ties. The tests hold the reference: a linear-scan scheduler in
+// calqueue_test.go that the calendar queue must match event for event
+// under randomized and fuzzed scripts.
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -40,13 +38,12 @@ type Handler func()
 type EventID uint64
 
 type event struct {
-	at    Time
-	seq   uint64 // tie-break: FIFO among simultaneous events
-	fn    Handler
-	next  *event // bucket-chain link (calendar backend only)
-	slot  int32  // permanent index into Scheduler.slots
-	gen   uint32 // bumped on release, so stale EventIDs miss
-	index int32  // heap index, -1 once popped (heap backend only)
+	at   Time
+	seq  uint64 // tie-break: FIFO among simultaneous events
+	fn   Handler
+	next *event // bucket-chain link
+	slot int32  // permanent index into Scheduler.slots
+	gen  uint32 // bumped on release, so stale EventIDs miss
 }
 
 // mkEventID packs an event's arena slot and generation. slot+1 keeps every
@@ -55,8 +52,7 @@ func mkEventID(slot int32, gen uint32) EventID {
 	return EventID(uint64(slot+1)<<32 | uint64(gen))
 }
 
-// eventLess is the one dispatch order both queue backends implement:
-// strictly increasing (at, seq).
+// eventLess is the dispatch order: strictly increasing (at, seq).
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -64,30 +60,12 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is the priority-queue abstraction behind the Scheduler: a
-// min-queue over the total order eventLess. Implementations must return
-// events in exactly that order so runs stay byte-identical across
-// backends.
-type eventQueue interface {
-	push(ev *event)
-	// peek returns the minimum event without removing it, nil when empty.
-	peek() *event
-	// pop removes and returns the minimum event, nil when empty.
-	pop() *event
-	// size returns the number of resident events.
-	size() int
-	// remove unlinks a resident event (O(1) amortized for the calendar,
-	// O(log n) for the heap). The caller guarantees ev is resident.
-	remove(ev *event)
-}
-
 // Scheduler is a discrete-event scheduler. The zero value is not usable;
-// call NewScheduler (calendar queue) or NewHeapScheduler (reference
-// binary heap).
+// call NewScheduler.
 type Scheduler struct {
 	now Time
 	seq uint64
-	q   eventQueue
+	q   *calendarQueue
 	// slots is the event arena: every event object ever created, indexed
 	// by its permanent slot. Cancel decodes an EventID to (slot, gen) and
 	// resolves it with one bounds-checked array read.
@@ -109,15 +87,6 @@ type Scheduler struct {
 // NewScheduler returns a calendar-queue scheduler with the clock at 0.
 func NewScheduler() *Scheduler {
 	return &Scheduler{q: newCalendarQueue()}
-}
-
-// NewHeapScheduler returns a scheduler backed by the reference binary
-// heap instead of the calendar queue. Dispatch order — and therefore
-// every simulation result — is byte-identical to NewScheduler; only
-// per-operation cost differs. It backs the DisableCalendarQueue escape
-// hatch and the equivalence tests.
-func NewHeapScheduler() *Scheduler {
-	return &Scheduler{q: &heapQueue{}}
 }
 
 // Now returns the current simulated time.
@@ -183,7 +152,7 @@ func (s *Scheduler) After(d float64, fn Handler) EventID {
 // revoked.
 //
 // Canceled events are unlinked from the queue and reclaimed immediately
-// (they used to sit in the heap until dispatch reached them), so a
+// (they used to sit in the queue until dispatch reached them), so a
 // schedule/cancel churn workload cannot grow the queue at all: the
 // resident queue holds exactly the live events.
 func (s *Scheduler) Cancel(id EventID) bool {
@@ -235,61 +204,3 @@ func (s *Scheduler) Run(until Time) {
 // RunAll dispatches every remaining event regardless of time. Useful in
 // tests; simulations should prefer Run with a horizon.
 func (s *Scheduler) RunAll() { s.Run(math.Inf(1)) }
-
-// heapQueue is the reference eventQueue: a binary heap ordered by
-// eventLess. It was the original event core and is retained behind
-// NewHeapScheduler as the equivalence baseline for the calendar queue.
-type heapQueue struct {
-	pq eventHeap
-}
-
-func (h *heapQueue) push(ev *event) { heap.Push(&h.pq, ev) }
-
-func (h *heapQueue) peek() *event {
-	if len(h.pq) == 0 {
-		return nil
-	}
-	return h.pq[0]
-}
-
-func (h *heapQueue) pop() *event {
-	if len(h.pq) == 0 {
-		return nil
-	}
-	return heap.Pop(&h.pq).(*event)
-}
-
-func (h *heapQueue) size() int { return len(h.pq) }
-
-func (h *heapQueue) remove(ev *event) {
-	heap.Remove(&h.pq, int(ev.index))
-}
-
-// eventHeap orders events by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool { return eventLess(h[i], h[j]) }
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = int32(len(*h))
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}

@@ -3,14 +3,94 @@ package dtn
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"glr/internal/geom"
 )
 
-// checkTablesAgree asserts every observable output of the two backends
-// matches for the current state.
-func checkTablesAgree(t *testing.T, m, d *NeighborTable, idSpace int) {
+// refNeighborTable is the reference neighbor table the row-array
+// backends are checked against: rows keyed by id in a Go map, every
+// output sorted on demand, two-hop dedup through a fresh set per call.
+// It is the obviously-correct form of the NeighborTable contract.
+type refNeighborTable struct {
+	m map[int]NeighborInfo
+}
+
+func newRefNeighborTable() *refNeighborTable {
+	return &refNeighborTable{m: make(map[int]NeighborInfo)}
+}
+
+func (t *refNeighborTable) Len() int { return len(t.m) }
+
+func (t *refNeighborTable) Observe(info NeighborInfo) {
+	if info.ID < 0 {
+		return // the row-array backends ignore negative ids
+	}
+	info.Neighbors = append([]NeighborNeighbor(nil), info.Neighbors...)
+	t.m[info.ID] = info
+}
+
+func (t *refNeighborTable) Get(id int) (NeighborInfo, bool) {
+	r, ok := t.m[id]
+	return r, ok
+}
+
+func (t *refNeighborTable) Remove(id int) { delete(t.m, id) }
+
+func (t *refNeighborTable) Expire(deadline float64) []int {
+	var gone []int
+	for id, r := range t.m {
+		if r.LastSeen <= deadline {
+			gone = append(gone, id)
+			delete(t.m, id)
+		}
+	}
+	sort.Ints(gone)
+	return gone
+}
+
+func (t *refNeighborTable) Snapshot() []NeighborInfo {
+	out := make([]NeighborInfo, 0, len(t.m))
+	for _, r := range t.m {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+func (t *refNeighborTable) AppendAdvertised(buf []NeighborNeighbor) []NeighborNeighbor {
+	for _, r := range t.Snapshot() {
+		buf = append(buf, NeighborNeighbor{ID: r.ID, Pos: r.Pos})
+	}
+	return buf
+}
+
+func (t *refNeighborTable) TwoHopPoints(selfID int, selfPos geom.Point) ([]int, []geom.Point) {
+	ids := []int{selfID}
+	pts := []geom.Point{selfPos}
+	seen := map[int]struct{}{selfID: {}}
+	for _, r := range t.Snapshot() {
+		if _, dup := seen[r.ID]; !dup {
+			seen[r.ID] = struct{}{}
+			ids = append(ids, r.ID)
+			pts = append(pts, r.Pos)
+		}
+		for _, nn := range r.Neighbors {
+			if _, dup := seen[nn.ID]; dup {
+				continue
+			}
+			seen[nn.ID] = struct{}{}
+			ids = append(ids, nn.ID)
+			pts = append(pts, nn.Pos)
+		}
+	}
+	return ids, pts
+}
+
+// checkTablesAgree asserts every observable output of a row-array
+// backend matches the reference for the current state.
+func checkTablesAgree(t *testing.T, m *refNeighborTable, d *NeighborTable, idSpace int) {
 	t.Helper()
 	if m.Len() != d.Len() {
 		t.Fatalf("Len: map %d, dense %d", m.Len(), d.Len())
@@ -67,17 +147,17 @@ func neighborsEqual(a, b []NeighborInfo) bool {
 	return true
 }
 
-// TestNeighborTableDenseMapEquivalenceChurn drives all three backends
-// through randomized Observe/Expire/Remove churn — neighbors expiring,
-// re-appearing, and ids (and compact row slots) being reused across
-// generations — asserting identical Snapshot/TwoHopPoints/Get results
-// throughout.
+// TestNeighborTableDenseMapEquivalenceChurn drives the dense and
+// compact backends and the map-based reference through randomized
+// Observe/Expire/Remove churn — neighbors expiring, re-appearing, and
+// ids (and compact row slots) being reused across generations —
+// asserting identical Snapshot/TwoHopPoints/Get results throughout.
 func TestNeighborTableDenseMapEquivalenceChurn(t *testing.T) {
 	const trials = 20
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)*2671 + 9))
 		idSpace := 4 + rng.Intn(28)
-		m := NewNeighborTable()
+		m := newRefNeighborTable()
 		d := NewDenseNeighborTable(idSpace)
 		c := NewCompactNeighborTable()
 		now := 0.0

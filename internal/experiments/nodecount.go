@@ -24,13 +24,12 @@ var NodeCountSizes = []int{100, 250, 500, 1000}
 // paperDensity is the paper's node density: 50 nodes in 1500 × 300 m.
 const paperDensity = 50.0 / (1500 * 300)
 
-// NodeCountPoint is one sweep point: the same scenario run three ways —
-// the full fast path (dense tables + spanner cache), the from-scratch
-// spanner reference (core.Config.DisableSpannerCache), and the
-// map-backed table reference (sim.Scenario.DisableDenseTables) — with
-// wall-clock, spanner-construction time, and heap-allocation pressure
-// measured for each. All runs use the grid-indexed medium (PR 1); the naive medium
-// keeps its own benchmarks in internal/mac.
+// NodeCountPoint is one sweep point: the same scenario run two ways —
+// the fast path (shared spanner cache) and the from-scratch spanner
+// reference (core.Config.DisableSpannerCache) — with wall-clock and
+// spanner-construction time measured for each and heap-allocation
+// pressure for the fast path. All runs use the grid-indexed medium; the
+// naive medium keeps its own benchmarks in internal/mac.
 type NodeCountPoint struct {
 	N               int
 	Region          mobility.Region
@@ -38,16 +37,13 @@ type NodeCountPoint struct {
 	DeliveryScratch stats.MeanCI  // from-scratch spanner runs
 	WallCached      time.Duration // mean per run
 	WallScratch     time.Duration
-	WallMapTables   time.Duration
 	SpannerCached   time.Duration // mean spanner-construction time per run
 	SpannerScratch  time.Duration
 	Phases          sim.PhaseProf // fast-path runs: mean per-phase wall clock
 	TriHitRate      float64       // fast-path runs: witness-triangulation reuse
 	AllocsDense     uint64        // mean heap allocations per fast-path run
-	AllocsMapTables uint64        // mean heap allocations per map-backed run
 	GCDense         uint32        // mean GC cycles per fast-path run
-	GCMapTables     uint32        // mean GC cycles per map-backed run
-	Identical       bool          // all three reports matched exactly at every seed
+	Identical       bool          // both reports matched exactly at every seed
 }
 
 // SpannerSpeedup returns from-scratch spanner-construction time over
@@ -65,16 +61,6 @@ func (p NodeCountPoint) WallSpeedup() float64 {
 		return 0
 	}
 	return float64(p.WallScratch) / float64(p.WallCached)
-}
-
-// AllocReduction returns the fraction of heap allocations the dense
-// state plane removes relative to the map-backed reference (0.3 = 30%
-// fewer allocations).
-func (p NodeCountPoint) AllocReduction() float64 {
-	if p.AllocsMapTables == 0 {
-		return 0
-	}
-	return 1 - float64(p.AllocsDense)/float64(p.AllocsMapTables)
 }
 
 // NodeCountResult is the node-count scaling sweep artifact.
@@ -144,15 +130,14 @@ func executeInstrumented(ctx context.Context, s sim.Scenario, cfg core.Config, p
 }
 
 // NodeCountSweep measures how the simulator scales with node count at
-// fixed density. Each seed runs the same scenario three ways:
+// fixed density. Each seed runs the same scenario two ways:
 //
-//   - fast: dense tables + spanner cache, with per-phase profiling;
-//   - scratch: core.Config.DisableSpannerCache (from-scratch spanner);
-//   - map: sim.Scenario.DisableDenseTables (map-backed tables).
+//   - fast: spanner cache, with per-phase profiling;
+//   - scratch: core.Config.DisableSpannerCache (from-scratch spanner).
 //
-// It reports delivery, wall-clock, spanner-construction time fast vs
-// scratch, heap-allocation pressure fast vs map, and the fast run's
-// per-phase wall clock — and asserts all three reports are identical.
+// It reports delivery, wall-clock and spanner-construction time fast vs
+// scratch, the fast run's heap-allocation pressure and per-phase wall
+// clock — and asserts both reports are identical.
 // sizes nil means NodeCountSizes.
 // Replications are run sequentially (never in parallel) so the
 // wall-clock comparison is not distorted by CPU contention; o.Runs is
@@ -181,38 +166,28 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		cached := make([]float64, runs)
 		scratch := make([]float64, runs)
 		var hitStats ldt.SpannerStats
-		var allocsDense, allocsMap uint64
-		var gcDense, gcMap uint32
+		var allocsDense uint64
+		var gcDense uint32
 		for r := 0; r < runs; r++ {
 			seed := o.BaseSeed + int64(r)
-			var reports [3]metrics.Report
-			for i, mode := range []string{"fast", "scratch", "map"} {
+			var reports [2]metrics.Report
+			for i, fromScratch := range []bool{false, true} {
 				s := nodeCountScenario(n, msgs, seed)
 				point.Region = s.Region
 				cfg := core.DefaultConfig()
-				switch mode {
-				case "scratch":
-					cfg.DisableSpannerCache = true
-				case "map":
-					s.DisableDenseTables = true
-				}
+				cfg.DisableSpannerCache = fromScratch
 				start := time.Now()
-				ir, err := executeInstrumented(ctx, s, cfg, mode == "fast")
+				ir, err := executeInstrumented(ctx, s, cfg, !fromScratch)
 				elapsed := time.Since(start)
 				if err != nil {
 					return nil, err
 				}
 				reports[i] = ir.rep
-				switch mode {
-				case "scratch":
+				if fromScratch {
 					scratch[r] = ir.rep.DeliveryRatio
 					point.WallScratch += elapsed
 					point.SpannerScratch += ir.spanner.BuildTime
-				case "map":
-					point.WallMapTables += elapsed
-					allocsMap += ir.mallocs
-					gcMap += ir.gc
-				default:
+				} else {
 					cached[r] = ir.rep.DeliveryRatio
 					point.WallCached += elapsed
 					point.SpannerCached += ir.spanner.BuildTime
@@ -225,7 +200,7 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 					gcDense += ir.gc
 				}
 			}
-			if reports[0] != reports[1] || reports[0] != reports[2] {
+			if reports[0] != reports[1] {
 				point.Identical = false
 			}
 		}
@@ -233,7 +208,6 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		point.DeliveryScratch = stats.ConfidenceInterval(scratch, o.Confidence)
 		point.WallCached /= time.Duration(runs)
 		point.WallScratch /= time.Duration(runs)
-		point.WallMapTables /= time.Duration(runs)
 		point.SpannerCached /= time.Duration(runs)
 		point.SpannerScratch /= time.Duration(runs)
 		point.Phases.Beacon /= time.Duration(runs)
@@ -242,17 +216,15 @@ func NodeCountSweep(o Options, sizes []int) (*NodeCountResult, error) {
 		point.Phases.AntiEntropy /= time.Duration(runs)
 		point.TriHitRate = hitStats.TriHitRate()
 		point.AllocsDense = allocsDense / uint64(runs)
-		point.AllocsMapTables = allocsMap / uint64(runs)
 		point.GCDense = gcDense / uint32(runs)
-		point.GCMapTables = gcMap / uint32(runs)
 		res.Points = append(res.Points, point)
 		res.msgs = append(res.msgs, msgs)
-		o.progress("scale: n=%d -> delivery %.2f, spanner %v vs %v (%.1fx, hit %.0f%%), wall %v vs %v, allocs %dM vs %dM (-%.0f%%)",
+		o.progress("scale: n=%d -> delivery %.2f, spanner %v vs %v (%.1fx, hit %.0f%%), wall %v vs %v, allocs %dM",
 			n, point.Delivery.Mean,
 			point.SpannerCached.Round(time.Millisecond), point.SpannerScratch.Round(time.Millisecond),
 			point.SpannerSpeedup(), 100*point.TriHitRate,
 			point.WallCached.Round(time.Millisecond), point.WallScratch.Round(time.Millisecond),
-			point.AllocsDense/1e6, point.AllocsMapTables/1e6, 100*point.AllocReduction())
+			point.AllocsDense/1e6)
 	}
 	return res, nil
 }
@@ -275,15 +247,13 @@ func (r *NodeCountResult) Render() string {
 			fmt.Sprintf("%.0f%%", 100*p.TriHitRate),
 			p.WallCached.Round(time.Millisecond).String(),
 			fmt.Sprintf("%.0fM", float64(p.AllocsDense)/1e6),
-			fmt.Sprintf("%.0fM", float64(p.AllocsMapTables)/1e6),
-			fmt.Sprintf("-%.0f%%", 100*p.AllocReduction()),
-			fmt.Sprintf("%d/%d", p.GCDense, p.GCMapTables),
+			fmt.Sprintf("%d", p.GCDense),
 		}
 	}
 	var sb strings.Builder
 	sb.WriteString(asciiplot.Table{
 		Title:   fmt.Sprintf("Node-count scaling sweep (fixed density, GLR, %d run(s)/point)", r.Runs),
-		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Spd-up", "Tri hits", "Wall", "Allocs", "Allocs(map)", "Δalloc", "GC d/m"},
+		Headers: []string{"Nodes", "Region", "Msgs", "Delivery", "Spanner", "Spd-up", "Tri hits", "Wall", "Allocs", "GC"},
 		Rows:    rows,
 	}.Render())
 	sb.WriteString("\nPer-phase wall clock (share of the fast run's wall):\n")
@@ -302,15 +272,14 @@ func (r *NodeCountResult) Render() string {
 	sb.WriteString("\nSpanner columns time the GLR routing loop's local-graph construction\n" +
 		"through the shared ldt.Maintainer; \"Spd-up\" is the from-scratch reference\n" +
 		"(DisableSpannerCache) over it. \"Wall\" is the fast path, profiled per\n" +
-		"phase. Alloc columns count heap allocations per run (Mallocs) on the\n" +
-		"dense slice-backed state plane vs the map-backed reference tables\n" +
-		"(DisableDenseTables); \"GC d/m\" is garbage-collection cycles dense/map.\n")
+		"phase. \"Allocs\" counts the fast run's heap allocations (Mallocs) and\n" +
+		"\"GC\" its garbage-collection cycles.\n")
 	if allIdentical {
-		sb.WriteString("All three paths produced identical end-to-end reports at every point.\n")
+		sb.WriteString("Both spanner paths produced identical end-to-end reports at every point.\n")
 	} else {
-		sb.WriteString("WARNING: the fast, from-scratch-spanner, and map-table runs\n" +
-			"disagreed at some point — this should never happen; see the\n" +
-			"equivalence tests in internal/core and internal/sim.\n")
+		sb.WriteString("WARNING: the fast and from-scratch-spanner runs disagreed at some\n" +
+			"point — this should never happen; see the equivalence tests in\n" +
+			"internal/core.\n")
 	}
 	return sb.String()
 }
@@ -322,13 +291,4 @@ func (r *NodeCountResult) SpannerSpeedupAtLargestN() float64 {
 		return 0
 	}
 	return r.Points[len(r.Points)-1].SpannerSpeedup()
-}
-
-// AllocReductionAtLargestN returns the heap-allocation reduction of the
-// dense state plane at the biggest sweep point.
-func (r *NodeCountResult) AllocReductionAtLargestN() float64 {
-	if len(r.Points) == 0 {
-		return 0
-	}
-	return r.Points[len(r.Points)-1].AllocReduction()
 }

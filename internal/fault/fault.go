@@ -5,8 +5,8 @@
 // custody. A set of declarative Specs compiles into a Plan whose
 // queries are pure functions of the compiled state and their arguments,
 // so the same (specs, n, region, horizon, seed) tuple always replays
-// the identical fault schedule — independent of engine escape hatches
-// and call order.
+// the identical fault schedule — independent of which medium path
+// (indexed or naive reference) asks, and of call order.
 //
 // Determinism contract. Stochastic faults (link blackouts, GPS noise,
 // Byzantine membership) are stateless: each query hashes (seed, salt,

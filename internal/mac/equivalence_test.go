@@ -61,9 +61,13 @@ func buildEquivMedium(t *testing.T, cfg Config, n int, pos func(id int, now des.
 // over randomized topologies (static and moving), MAC parameters, and
 // traffic, the grid-indexed medium and the naive full-scan medium must
 // deliver the exact same frame sequence and count the exact same stats.
+// Every third trial also installs a DropRx fault predicate — a pure
+// function of link, epoch and receiver position, like the fault plan's —
+// so vetoed receptions must agree too.
 func TestGridNaiveEquivalence(t *testing.T) {
 	const trials = 24
 	totalDelivered := 0
+	var totalFaultDrops uint64
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
@@ -101,6 +105,15 @@ func TestGridNaiveEquivalence(t *testing.T) {
 				cfg.CaptureRatio = 0
 			}
 			cfg.IndexSlack = maxSpeed*reindexEvery + 1
+			if trial%3 == 2 {
+				// Drop about a quarter of links per 0.5 s epoch, and
+				// everything received in the left sixth of the field.
+				cfg.DropRx = func(src, dst int, now float64, _, dstPos geom.Point) bool {
+					h := uint64(src)*0x9e3779b97f4a7c15 ^ uint64(dst)*0xbf58476d1ce4e5b9 ^ uint64(now*2)*0x94d049bb133111eb
+					h ^= h >> 31
+					return h%4 == 0 || dstPos.X < side/6
+				}
+			}
 
 			naiveCfg := cfg
 			naiveCfg.DisableSpatialIndex = true
@@ -175,7 +188,11 @@ func TestGridNaiveEquivalence(t *testing.T) {
 				t.Fatalf("stats differ:\n grid  %+v\n naive %+v", grid.medium.Stats(), naive.medium.Stats())
 			}
 			totalDelivered += len(grid.log)
+			totalFaultDrops += grid.medium.Stats().FaultDrops
 		})
+	}
+	if totalFaultDrops == 0 {
+		t.Fatal("no reception was vetoed; the DropRx trials are vacuous")
 	}
 	// Guard against a vacuous pass: the randomized topologies must
 	// actually exercise delivery, not just agree on silence.

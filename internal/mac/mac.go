@@ -56,7 +56,7 @@ type Config struct {
 	// DisableSpatialIndex falls back to the O(n) full scans over radios
 	// and active transmissions instead of the uniform-grid spatial
 	// index. The two paths resolve identical frame sets; the flag
-	// exists as an escape hatch and for benchmarking the index.
+	// exists as the index's tested reference and for benchmarking it.
 	DisableSpatialIndex bool
 	// IndexSlack widens spatial-index queries over radios by this many
 	// metres to tolerate movement between index refreshes. It must be

@@ -254,17 +254,33 @@ type TracePoint struct {
 	P geom.Point
 }
 
+// Finite reports whether the waypoint's time and coordinates are all
+// finite (no NaN, no ±Inf).
+func (tp TracePoint) Finite() bool {
+	for _, v := range [...]float64{tp.T, tp.P.X, tp.P.Y} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Trace replays a scripted trajectory, interpolating linearly between
 // waypoints and holding the last position afterwards.
 type Trace struct {
 	pts []TracePoint
 }
 
-// NewTrace builds a trace model. Waypoints must have strictly increasing
-// times and there must be at least one.
+// NewTrace builds a trace model. There must be at least one waypoint,
+// every waypoint must be finite, and times must strictly increase.
 func NewTrace(pts []TracePoint) (*Trace, error) {
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("mobility: trace needs at least one waypoint")
+	}
+	for i, tp := range pts {
+		if !tp.Finite() {
+			return nil, fmt.Errorf("mobility: trace waypoint %d (t=%v at %v) must be finite", i, tp.T, tp.P)
+		}
 	}
 	for i := 1; i < len(pts); i++ {
 		if pts[i].T <= pts[i-1].T {
@@ -286,6 +302,12 @@ func (tr *Trace) Position(t float64) geom.Point {
 		if t <= pts[i].T {
 			a, b := pts[i-1], pts[i]
 			frac := (t - a.T) / (b.T - a.T)
+			if !(frac >= 0 && frac <= 1) {
+				// The span b.T−a.T overflowed (finite times of opposite
+				// sign near ±MaxFloat64): halving every term is exact
+				// and cannot overflow.
+				frac = (t/2 - a.T/2) / (b.T/2 - a.T/2)
+			}
 			return a.P.Lerp(b.P, frac)
 		}
 	}

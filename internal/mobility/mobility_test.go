@@ -230,6 +230,16 @@ func TestTraceValidation(t *testing.T) {
 	if _, err := NewTrace([]TracePoint{{T: 0}, {T: 0}}); err == nil {
 		t.Error("non-increasing trace accepted")
 	}
+	for _, tp := range []TracePoint{
+		{T: math.NaN()},
+		{T: math.Inf(-1)},
+		{P: geom.Pt(math.NaN(), 0)},
+		{P: geom.Pt(0, math.Inf(1))},
+	} {
+		if _, err := NewTrace([]TracePoint{tp, {T: 30, P: geom.Pt(1, 1)}}); err == nil {
+			t.Errorf("non-finite waypoint %+v accepted", tp)
+		}
+	}
 }
 
 func TestUniformStatic(t *testing.T) {

@@ -1,94 +1,154 @@
 package sim
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
-	"glr/internal/metrics"
+	"glr/internal/des"
 )
 
-// TestBeaconAggregationEquivalence crosses beacon aggregation with both
-// event-core backends on a mobile world and requires byte-identical
-// reports: the aggregated beacon plane and the calendar queue are pure
-// performance work, so every combination must reproduce the reference
-// (per-node tickers on the binary heap) exactly. It also checks the
-// point of the aggregation — the resident event count drops from one
-// ticker per node to one event per occupied cell.
-func TestBeaconAggregationEquivalence(t *testing.T) {
-	base := DefaultScenario(100)
-	base.Name = "beacon-agg-equiv"
-	base.Seed = 5
-	base.N = 80
-	base.SimTime = 20
+// beaconFire is one hello send: when, and by which node.
+type beaconFire struct {
+	at des.Time
+	id int
+}
 
-	var reports []metrics.Report
-	pending := map[string]int{}
-	for _, mode := range []struct {
-		name         string
-		noAgg, noCal bool
-	}{
-		{"aggregated+calendar", false, false},
-		{"aggregated+heap", false, true},
-		{"tickers+calendar", true, false},
-		{"tickers+heap", true, true},
-	} {
-		s := base
-		s.DisableBeaconAggregation = mode.noAgg
-		s.DisableCalendarQueue = mode.noCal
-		w, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} })
-		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
+// ringFires records the (time, node) fire sequence of a beaconRing over
+// phases up to horizon, and the scheduler's pending count right after
+// the ring was built.
+func ringFires(phases []float64, interval, horizon float64) (fires []beaconFire, pending int) {
+	sched := des.NewScheduler()
+	newBeaconRing(sched, interval, phases, func(ids []int) {
+		for _, id := range ids {
+			fires = append(fires, beaconFire{sched.Now(), id})
 		}
-		pending[mode.name] = w.Scheduler().Pending()
-		reports = append(reports, w.Run())
+	})
+	pending = sched.Pending()
+	sched.Run(horizon)
+	return fires, pending
+}
+
+// tickerFires records the same sequence for the reference: one
+// des.Ticker per node, armed in id order.
+func tickerFires(phases []float64, interval, horizon float64) []beaconFire {
+	sched := des.NewScheduler()
+	var fires []beaconFire
+	for id, p := range phases {
+		id := id
+		des.NewTicker(sched, interval, p, func() {
+			fires = append(fires, beaconFire{sched.Now(), id})
+		})
 	}
-	for i := 1; i < len(reports); i++ {
-		if !reflect.DeepEqual(reports[0], reports[i]) {
-			t.Fatalf("report %d diverges from reference:\n%#v\nvs\n%#v", i, reports[i], reports[0])
+	sched.Run(horizon)
+	return fires
+}
+
+// mergedTies counts consecutive fires at the same instant by nodes
+// whose phases differ: fire times that only became equal through
+// accumulated interval additions.
+func mergedTies(fires []beaconFire, phases []float64) int {
+	n := 0
+	for i := 1; i < len(fires); i++ {
+		a, b := fires[i-1], fires[i]
+		if a.at == b.at && phases[a.id] != phases[b.id] {
+			n++
 		}
 	}
-	if agg, tick := pending["aggregated+calendar"], pending["tickers+calendar"]; agg >= tick {
-		t.Fatalf("aggregation left %d events pending, want fewer than the %d per-node tickers", agg, tick)
+	return n
+}
+
+// TestBeaconRingMatchesTickers is the reference oracle for the beacon
+// ring: over the same phases it must fire exactly the (time, node)
+// sequence per-node des.Tickers produce, while keeping one event
+// pending instead of one per node. The phase sets cover random draws,
+// bit-equal draws (which tie from the first cycle on), runs of adjacent
+// floats that merge after one interval addition, and phases at both
+// ends of the interval (the cycle wrap).
+func TestBeaconRingMatchesTickers(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	random := func(n int, interval float64) []float64 {
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = rng.Float64() * interval
+		}
+		return p
+	}
+	// adjacent returns k runs of m consecutive floats each, the runs'
+	// starting points drawn in [0, interval) and the ids shuffled so ring
+	// order differs from id order.
+	adjacent := func(k, m int, interval float64) []float64 {
+		var p []float64
+		for i := 0; i < k; i++ {
+			x := rng.Float64() * interval
+			for j := 0; j < m; j++ {
+				p = append(p, x)
+				x = math.Nextafter(x, math.Inf(1))
+			}
+		}
+		rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+		return p
+	}
+	for _, interval := range []float64{1, 0.7} {
+		dup := random(60, interval)
+		for i := 0; i < 20; i++ {
+			dup[rng.Intn(len(dup))] = dup[rng.Intn(len(dup))]
+		}
+		edges := append(random(10, interval), 0, 0, math.Nextafter(interval, 0), interval)
+		cases := []struct {
+			name      string
+			phases    []float64
+			wantMerge bool
+		}{
+			{"random", random(200, interval), false},
+			{"bit-equal", dup, false},
+			{"merging", adjacent(8, 6, interval), true},
+			{"edges", edges, false},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/interval=%v", tc.name, interval), func(t *testing.T) {
+				const horizon = 60
+				got, pending := ringFires(tc.phases, interval, horizon)
+				want := tickerFires(tc.phases, interval, horizon)
+				if pending != 1 {
+					t.Fatalf("ring keeps %d events pending, want 1", pending)
+				}
+				if len(want) < len(tc.phases)*int(horizon/interval) {
+					t.Fatalf("reference fired only %d times", len(want))
+				}
+				if !reflect.DeepEqual(got, want) {
+					i := 0
+					for i < len(got) && i < len(want) && got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("ring diverges from per-node tickers at fire %d of %d/%d", i, len(got), len(want))
+				}
+				if tc.wantMerge && mergedTies(want, tc.phases) == 0 {
+					t.Fatal("no distinct phases merged; the case does not test merging")
+				}
+			})
+		}
 	}
 }
 
-// TestPhasesCollide pins the fallback predicate: only bit-equal phase
-// draws defeat aggregation's ordering argument, so only they may trigger
-// the per-node ticker fallback.
-func TestPhasesCollide(t *testing.T) {
-	if phasesCollide([]float64{0.1, 0.2, 0.3}) {
-		t.Fatal("distinct phases reported as colliding")
-	}
-	if !phasesCollide([]float64{0.3, 0.1, 0.3}) {
-		t.Fatal("bit-equal phases not detected")
-	}
-	if phasesCollide(nil) {
-		t.Fatal("empty phase set reported as colliding")
-	}
-}
-
-// TestBeaconGroupRingOrder documents the cursor invariant on a crafted
-// group: members fire one per event in phase order, cycling; bit-equal
-// phases within a cell fire back-to-back in id order under one event.
+// TestBeaconGroupRingOrder checks the ring end to end in a world: every
+// node beacons once per interval, so over 3.5 intervals each fires
+// either 3 or 4 times depending on phase.
 func TestBeaconGroupRingOrder(t *testing.T) {
 	s := DefaultScenario(100)
 	s.Name = "beacon-ring"
 	s.N = 6
 	s.SimTime = 3.5
 	s.Mobility = MobilityStatic
-	for _, noAgg := range []bool{false, true} {
-		s.DisableBeaconAggregation = noAgg
-		w, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every node beacons once per interval; over 3.5 intervals each
-		// fires either 3 or 4 times depending on phase.
-		rep := w.Run()
-		got := rep.ControlFrames
-		if got < uint64(3*s.N) || got > uint64(4*s.N) {
-			t.Fatalf("noAgg=%v: %d control frames over %v s, want %d..%d",
-				noAgg, got, s.SimTime, 3*s.N, 4*s.N)
-		}
+	w, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := w.Run()
+	got := rep.ControlFrames
+	if got < uint64(3*s.N) || got > uint64(4*s.N) {
+		t.Fatalf("%d control frames over %v s, want %d..%d", got, s.SimTime, 3*s.N, 4*s.N)
 	}
 }

@@ -19,12 +19,12 @@ func (nopProtocol) OnFrame(any, int)                {}
 func (nopProtocol) OnBeacon(Beacon)                 {}
 func (nopProtocol) StorageUsed() int                { return 0 }
 
-// benchBeaconTick measures one full beacon interval of a 500-node world
-// at the paper's density: every node broadcasts its hello, every
+// BenchmarkBeaconTick measures one full beacon interval of a 500-node
+// world at the paper's density: every node broadcasts its hello, every
 // receiver refreshes its neighbor/location tables, and the medium
 // resolves all receptions. This is the simulator's steady-state load
 // with routing factored out.
-func benchBeaconTick(b *testing.B, disableDense, disableAgg bool) {
+func BenchmarkBeaconTick(b *testing.B) {
 	const n = 500
 	area := float64(n) / (50.0 / (1500 * 300))
 	h := math.Sqrt(area / 5)
@@ -33,8 +33,6 @@ func benchBeaconTick(b *testing.B, disableDense, disableAgg bool) {
 	s.N = n
 	s.Region = mobility.Region{W: 5 * h, H: h}
 	s.SimTime = 1e9 // horizon unused; the benchmark steps manually
-	s.DisableDenseTables = disableDense
-	s.DisableBeaconAggregation = disableAgg
 
 	w, err := NewWorld(s, func(*Node) Protocol { return nopProtocol{} })
 	if err != nil {
@@ -52,12 +50,3 @@ func benchBeaconTick(b *testing.B, disableDense, disableAgg bool) {
 		w.Scheduler().Run(until)
 	}
 }
-
-// Dense and Map measure the two table backends under the reference
-// per-node beacon tickers; Aggregated measures the full fast path
-// (dense tables + cell-aggregated beacon events).
-func BenchmarkBeaconTickDense(b *testing.B) { benchBeaconTick(b, false, true) }
-
-func BenchmarkBeaconTickMap(b *testing.B) { benchBeaconTick(b, true, true) }
-
-func BenchmarkBeaconTickAggregated(b *testing.B) { benchBeaconTick(b, false, false) }

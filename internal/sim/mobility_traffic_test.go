@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"glr/internal/geom"
@@ -68,6 +69,22 @@ func TestValidateTrace(t *testing.T) {
 	}
 	if err := bad.Validate(); err == nil {
 		t.Error("trace outside region accepted")
+	}
+
+	for _, wp := range []mobility.TracePoint{
+		{T: math.NaN(), P: geom.Pt(10, 10)},
+		{T: math.Inf(-1), P: geom.Pt(10, 10)},
+		{T: 0, P: geom.Pt(math.NaN(), 10)},
+		{T: 0, P: geom.Pt(10, math.Inf(1))},
+	} {
+		bad = s
+		bad.Traces = [][]mobility.TracePoint{
+			{wp, {T: 30, P: geom.Pt(100, 100)}},
+			s.Traces[1],
+		}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("non-finite first waypoint %+v accepted", wp)
+		}
 	}
 
 	bad = s
@@ -159,7 +176,11 @@ func TestFastTraceGridEquivalence(t *testing.T) {
 		}
 		s.Traces[5] = shuttle
 		s.Traffic = UniformTraffic(s.N, 150, 1, 5)
-		s.DisableSpatialIndex = disableIndex
+		if disableIndex {
+			naive := s.MACConfig()
+			naive.DisableSpatialIndex = true
+			s.MACOverride = &naive
+		}
 		return s
 	}
 	run := func(disableIndex bool) interface{} {

@@ -16,8 +16,7 @@ import (
 // never feed back into the simulation, so profiled and unprofiled runs
 // produce byte-identical reports.
 type PhaseProf struct {
-	// Beacon is the time constructing and queueing hello frames
-	// (aggregated beacon events and per-node tickers alike).
+	// Beacon is the time constructing and queueing hello frames.
 	Beacon time.Duration
 	// Mobility is the time in the periodic bulk Reindex: position
 	// extrapolation plus spatial-index refresh for every radio.

@@ -79,37 +79,15 @@ type Scenario struct {
 	// Figure-7 experiment sweeps this.
 	StorageLimit int
 
-	// MACOverride, when non-nil, replaces the derived MAC configuration.
+	// MACOverride, when non-nil, replaces the derived MAC configuration
+	// (tests run the naive reference medium through it, with
+	// mac.Config.DisableSpatialIndex set).
 	MACOverride *mac.Config
-
-	// DisableSpatialIndex makes the medium resolve receptions with the
-	// naive O(n) scans instead of the uniform-grid index. Results are
-	// identical; the node-count sweep uses it to measure the win.
-	DisableSpatialIndex bool
-
-	// DisableDenseTables backs every node's neighbor/location tables
-	// with the map-based reference implementation instead of the dense
-	// id-indexed arrays (mirroring DisableSpatialIndex and
-	// core.Config.DisableSpannerCache). Results are identical; the
-	// node-count sweep uses it to measure allocation pressure.
-	DisableDenseTables bool
 
 	// Parallelism is validated (≥ 0) and otherwise ignored: every run
 	// steps on the serial engine. Kept for perfbench until the
 	// benchmark's next change.
 	Parallelism int
-
-	// DisableCalendarQueue backs the event core with the reference binary
-	// heap instead of the O(1)-amortized calendar queue. Dispatch order —
-	// and therefore every result — is byte-identical; equivalence tests
-	// and the scale sweep use it.
-	DisableCalendarQueue bool
-
-	// DisableBeaconAggregation schedules one beacon ticker per node (the
-	// reference path) instead of one event per occupied grid cell. The
-	// hello frames, their order, and every downstream result are
-	// byte-identical; only scheduler load changes.
-	DisableBeaconAggregation bool
 
 	// Faults lists the disruption models injected into the run (see
 	// internal/fault). Empty means a fault-free run, byte-identical to
@@ -176,6 +154,9 @@ func (s Scenario) Validate() error {
 				return fmt.Errorf("sim: trace for node %d is empty", i)
 			}
 			for j, tp := range tr {
+				if !tp.Finite() {
+					return fmt.Errorf("sim: trace for node %d waypoint %d (t=%v at %v) must be finite", i, j, tp.T, tp.P)
+				}
 				if j > 0 && tp.T <= tr[j-1].T {
 					return fmt.Errorf("sim: trace for node %d has non-increasing time at waypoint %d", i, j)
 				}
@@ -231,9 +212,6 @@ func (s Scenario) MACConfig() mac.Config {
 	cfg := mac.DefaultConfig(s.Range)
 	if s.MACOverride != nil {
 		cfg = *s.MACOverride
-	}
-	if s.DisableSpatialIndex {
-		cfg.DisableSpatialIndex = true
 	}
 	return cfg
 }

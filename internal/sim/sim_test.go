@@ -227,13 +227,15 @@ func TestWorldSetsIndexSlackForMobility(t *testing.T) {
 }
 
 func TestWorldNaiveMediumMatchesGridDelivery(t *testing.T) {
-	// Full-stack sanity for the DisableSpatialIndex escape hatch: the
-	// same scenario must still deliver traffic without the index. (The
-	// exact per-frame equivalence property lives in internal/mac.)
+	// Full-stack sanity for the naive reference medium: the same
+	// scenario must still deliver traffic without the index. (The exact
+	// per-frame equivalence property lives in internal/mac.)
 	s := smallScenario()
-	s.DisableSpatialIndex = true
+	naive := s.MACConfig()
+	naive.DisableSpatialIndex = true
+	s.MACOverride = &naive
 	if !s.MACConfig().DisableSpatialIndex {
-		t.Fatal("scenario flag must reach the MAC config")
+		t.Fatal("override must reach the MAC config")
 	}
 	w, err := NewWorld(s, directFactory)
 	if err != nil {

@@ -113,11 +113,7 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DisableCalendarQueue {
-		w.sched = des.NewHeapScheduler()
-	} else {
-		w.sched = des.NewScheduler()
-	}
+	w.sched = des.NewScheduler()
 
 	macCfg := cfg.MACConfig()
 	if !macCfg.DisableSpatialIndex && macCfg.IndexSlack == 0 {
@@ -151,14 +147,11 @@ func NewWorld(cfg Scenario, factory ProtocolFactory) (*World, error) {
 			mob:   models[i],
 			rng:   newRand(cfg.Seed + int64(i)*104729 + 7),
 		}
-		if cfg.DisableDenseTables {
-			n.neighbors = dtn.NewNeighborTable()
-			n.locations = dtn.NewLocationTable()
-		} else if cfg.N > denseTableNodeLimit {
+		if cfg.N > denseTableNodeLimit {
 			// Dense tables cost O(n) per node — O(n²) across the world,
 			// the memory wall for 10k+ nodes. Compact neighbor rows keep
 			// the dense hot paths at O(neighborhood); the map location
-			// table is already O(knowledge). All backends are
+			// table is already O(knowledge). The backends are
 			// byte-identical, so the switch is invisible in reports.
 			n.neighbors = dtn.NewCompactNeighborTable()
 			n.locations = dtn.NewLocationTable()
@@ -207,32 +200,21 @@ func (w *World) scheduleReindex() {
 
 // scheduleBeacons arms the hello beacons with random phases so nodes do
 // not fire in lockstep (IMEP's periodic link/connection status sensing).
-// The phases are drawn from the world RNG in node-id order regardless of
-// mode, so the RNG stream — and everything downstream of it — is
-// identical across modes. By default beacons are aggregated into one
-// pending event per occupied grid cell (see beaconGroup);
-// DisableBeaconAggregation arms the reference per-node tickers, as does
-// the (astronomically unlikely) draw of two bit-equal phases, which
-// aggregation cannot order byte-identically.
+// The phases are drawn from the world RNG in node-id order; one
+// beaconRing fires them all through a single pending event.
 func (w *World) scheduleBeacons() {
 	phases := make([]float64, len(w.nodes))
 	for i := range phases {
 		phases[i] = w.rng.Float64() * w.cfg.BeaconInterval
 	}
-	if w.cfg.DisableBeaconAggregation || phasesCollide(phases) {
-		for i, n := range w.nodes {
-			des.NewTicker(w.sched, w.cfg.BeaconInterval, phases[i], func() {
-				if w.prof != nil {
-					defer w.prof.clock(&w.prof.Beacon)()
-				}
-				n.sendBeacon()
-			})
+	newBeaconRing(w.sched, w.cfg.BeaconInterval, phases, func(ids []int) {
+		if w.prof != nil {
+			defer w.prof.clock(&w.prof.Beacon)()
 		}
-		return
-	}
-	for _, g := range w.buildBeaconGroups(phases) {
-		g.arm()
-	}
+		for _, id := range ids {
+			w.nodes[id].sendBeacon()
+		}
+	})
 }
 
 // scheduleTraffic arms one generation event per traffic item.

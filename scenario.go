@@ -32,48 +32,6 @@ type Scenario struct {
 	epiCfg    *EpidemicConfig
 	observers []*Observer
 	faults    []Fault // WithFaults: empty = fault-free
-
-	engine Engine
-}
-
-// Engine selects the execution engine for a scenario's runs — the
-// consolidated escape-hatch surface. Every field is a "disable" switch
-// restoring a reference implementation; results are byte-identical in
-// every combination (equivalence tests in internal/core assert it), so
-// the engine only changes speed and allocation pressure, never outcomes.
-// The zero value is the full fast path: grid spatial index, shared
-// spanner cache, dense tables, calendar queue, aggregated beacons. Runs
-// step on one goroutine; Runner's Workers spread replications over
-// cores.
-type Engine struct {
-	// DisableSpatialIndex resolves receptions and carrier sensing with
-	// naive O(n) scans instead of the uniform-grid index.
-	DisableSpatialIndex bool
-	// DisableSpannerCache rebuilds every route check's spanner from
-	// scratch with the reference construction instead of the shared
-	// ldt.Maintainer.
-	DisableSpannerCache bool
-	// DisableDenseTables backs neighbor/location tables with the
-	// map-based reference implementation instead of dense id-indexed
-	// arrays.
-	DisableDenseTables bool
-	// DisableCalendarQueue backs the event scheduler with the reference
-	// binary heap instead of the O(1)-amortized calendar queue.
-	DisableCalendarQueue bool
-	// DisableBeaconAggregation arms one reference ticker per node
-	// instead of aggregating beacons into one pending event per occupied
-	// grid cell.
-	DisableBeaconAggregation bool
-}
-
-// WithEngine selects the execution engine (default: the zero Engine —
-// all fast paths on). See Engine for the switches and docs/MIGRATION.md
-// for the mapping from the scattered internal flags this consolidates.
-func WithEngine(e Engine) Option {
-	return func(s *Scenario) error {
-		s.engine = e
-		return nil
-	}
 }
 
 // Option configures a Scenario under construction.
@@ -319,10 +277,6 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 		scn.Region.W, scn.Region.H = s.width, s.height
 	}
 	scn.StorageLimit = s.storageLimit
-	scn.DisableSpatialIndex = s.engine.DisableSpatialIndex
-	scn.DisableDenseTables = s.engine.DisableDenseTables
-	scn.DisableCalendarQueue = s.engine.DisableCalendarQueue
-	scn.DisableBeaconAggregation = s.engine.DisableBeaconAggregation
 
 	// Workload generators draw random pairs over scn.N; reject
 	// degenerate sizes before they schedule (a one-trajectory Trace can
@@ -372,7 +326,7 @@ func (s *Scenario) compile(seed int64) (sim.Scenario, sim.ProtocolFactory, error
 	if err := scn.Validate(); err != nil {
 		return sim.Scenario{}, nil, err
 	}
-	factory, err := buildFactory(s.protocol, s.glrCfg, s.epiCfg, s.engine.DisableSpannerCache)
+	factory, err := buildFactory(s.protocol, s.glrCfg, s.epiCfg, false)
 	if err != nil {
 		return sim.Scenario{}, nil, err
 	}

@@ -301,6 +301,10 @@ func TestOptionRejectsNonFinite(t *testing.T) {
 		{"region blackout end +Inf", []Option{WithFaults(Fault{Kind: FaultRegionBlackout, W: 10, H: 10, End: inf})}},
 		{"gps sigma NaN", []Option{WithFaults(Fault{Kind: FaultGPSNoise, Sigma: nan})}},
 		{"byzantine fraction NaN", []Option{WithFaults(Fault{Kind: FaultByzantine, Fraction: nan})}},
+		{"trace first time NaN", []Option{WithMobility(Trace{Paths: nonFiniteTrace(TracePoint{T: nan, X: 10, Y: 10})})}},
+		{"trace first time -Inf", []Option{WithMobility(Trace{Paths: nonFiniteTrace(TracePoint{T: -inf, X: 10, Y: 10})})}},
+		{"trace x NaN", []Option{WithMobility(Trace{Paths: nonFiniteTrace(TracePoint{X: nan, Y: 10})})}},
+		{"trace y +Inf", []Option{WithMobility(Trace{Paths: nonFiniteTrace(TracePoint{X: 10, Y: inf})})}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -313,6 +317,16 @@ func TestOptionRejectsNonFinite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// nonFiniteTrace is a four-node trace set whose first node starts at
+// first and then moves to a finite waypoint; the other nodes stand still.
+func nonFiniteTrace(first TracePoint) [][]TracePoint {
+	paths := [][]TracePoint{{first, {T: 30, X: 100, Y: 100}}}
+	for i := 1; i < 4; i++ {
+		paths = append(paths, []TracePoint{{T: 0, X: float64(50 * i), Y: 50}})
+	}
+	return paths
 }
 
 // TestConfigValidation pins the satellite fix: invalid legacy Config
